@@ -10,10 +10,10 @@ never depend on hashing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
-from pathlib import Path
 
 from . import figures, links, serialize
 from .cutting import (
@@ -88,11 +88,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _write_output(text: str, destination: str) -> None:
+@contextlib.contextmanager
+def _output_stream(destination: str):
+    """Stdout for '-', otherwise the named file opened for writing."""
     if destination == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(destination).write_text(text)
+        with open(destination, "w") as fh:
+            yield fh
+
+
+def _write_output(text: str, destination: str) -> None:
+    with _output_stream(destination) as out:
+        out.write(text)
 
 
 def _route_nonnegative(s: Slope) -> Slope:
@@ -158,11 +166,10 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    lines = [
-        serialize.family_to_json(family, compact=True)
-        for family in links.census(args.max_x, dedupe_mirror=args.dedupe_mirror)
-    ]
-    _write_output("".join(line + "\n" for line in lines), args.jsonl)
+    families = links.census(args.max_x, dedupe_mirror=args.dedupe_mirror)
+    with _output_stream(args.jsonl) as out:
+        for family in families:
+            out.write(serialize.family_to_json(family, compact=True) + "\n")
     return 0
 
 

@@ -6,11 +6,13 @@ goes to stderr as a single "error: ..." line; stdout stays machine
 readable.
 """
 
+import io
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from modlink import links
 from modlink.cli import main
 
 
@@ -105,6 +107,38 @@ def test_census_jsonl(capsys):
     code, out, err = run(capsys, "census", "--max-x", "3", "--dedupe-mirror")
     rows = [json.loads(line) for line in out.splitlines()]
     assert [r["target"] for r in rows] == ["1/1", "1/2", "1/3", "2/3"]
+
+
+def test_census_jsonl_file_matches_stdout(tmp_path, capsys):
+    code, out, err = run(capsys, "census", "--max-x", "4")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 15
+    path = tmp_path / "census.jsonl"
+    code, file_out, err = run(capsys, "census", "--max-x", "4", "--jsonl", str(path))
+    assert (code, file_out, err) == (0, "", "")
+    assert path.read_text() == out
+
+
+def test_census_streams_one_line_per_family(monkeypatch):
+    built, writes = [], []
+    census = links.census
+
+    def counting_census(*args, **kwargs):
+        for family in census(*args, **kwargs):
+            built.append(family)
+            yield family
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append((len(built), text))
+            return super().write(text)
+
+    monkeypatch.setattr(links, "census", counting_census)
+    monkeypatch.setattr("sys.stdout", Recorder())
+    assert main(["census", "--max-x", "3"]) == 0
+    # each line is written as soon as its family is built
+    assert [n for n, _ in writes] == list(range(1, 8))
+    assert all(text.count("\n") == 1 for _, text in writes)
 
 
 def test_table_csv(capsys):

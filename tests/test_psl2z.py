@@ -1,18 +1,25 @@
 """Matrix, cyclic-word, length and discriminant tests.
 
 Independent oracles used here: brute-force minimal rotation (all
-rotations, pick min) against the linear-time routine, and an 80-digit
+rotations, pick min) against the linear-time routine, an 80-digit
 Decimal evaluation of 2*ln((t + sqrt(t^2 - 4))/2) against the float
-trace-length code on both sides of its big-integer switchover.
+trace-length code on both sides of its big-integer switchover, the
+product of generator matrices against the integer word kernel, and
+sympy's factorint against the Miller-Rabin + Brent rho factorizer.
 """
 
 import decimal
+import functools
 import itertools
 import math
+import operator
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from modlink.cutting import slope_to_word
+from modlink.farey import Slope
 from modlink.psl2z import (
     CyclicWord,
     EllipticError,
@@ -31,6 +38,11 @@ from modlink.psl2z import (
 
 L, R, U, V = (generator(n) for n in "LRUV")
 I = MatrixPSL2Z.identity()
+
+
+def _generator_product(letters: str) -> MatrixPSL2Z:
+    """Reference construction: multiply one generator matrix per letter."""
+    return functools.reduce(operator.mul, map(generator, letters), I)
 
 
 # ------------------------------------------------------------ generators
@@ -89,6 +101,17 @@ def test_word_products_associate_through_any_split(letters):
         left = word_to_matrix(letters[:cut])
         right = word_to_matrix(letters[cut:])
         assert left * right == whole
+
+
+@given(st.text(alphabet="LR", min_size=1, max_size=300))
+def test_word_to_matrix_matches_generator_product(letters):
+    assert word_to_matrix(letters) == _generator_product(letters)
+
+
+def test_word_to_matrix_matches_generator_product_on_a_long_word():
+    letters = slope_to_word(Slope(10007, 7777)).letters
+    assert len(letters) == 20014
+    assert word_to_matrix(letters) == _generator_product(letters)
 
 
 def test_trace_is_rotation_invariant_for_all_short_words():
@@ -207,6 +230,24 @@ def test_factorization_reconstructs_inputs():
         assert product == n
 
 
+# primes in [10^3, 10^9]; 999 999 937 is the largest prime below 10^9
+_PRIMES = st.integers(10**3, 999_999_937).map(lambda n: sympy.nextprime(n - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(
+        st.tuples(_PRIMES, _PRIMES).map(lambda pq: pq[0] * pq[1]),
+        _PRIMES.map(lambda p: p**2),
+        _PRIMES.map(lambda p: p**3),
+    )
+)
+def test_factorize_matches_sympy(n):
+    from modlink.psl2z import _factorize
+
+    assert _factorize(n) == sympy.factorint(n)
+
+
 def test_squarefree_part():
     assert squarefree_part(1) == 1
     assert squarefree_part(5) == 5
@@ -225,6 +266,23 @@ def test_field_discriminants_of_worked_classes():
     assert field_discriminant(word_to_matrix("LRRLLR")) == 221
     with pytest.raises(ParabolicError):
         field_discriminant(word_to_matrix("L"))
+
+
+def test_field_discriminant_is_memoised_per_trace():
+    from modlink.psl2z import _trace_discriminant
+
+    m1, m2 = word_to_matrix("LRLLRR"), word_to_matrix("LRRLLR")  # both trace 15
+    first = field_discriminant(m1)
+    hits = _trace_discriminant.cache_info().hits
+    assert field_discriminant(m1) == field_discriminant(m2) == first == 221
+    assert _trace_discriminant.cache_info().hits == hits + 2
+    for _ in range(3):
+        with pytest.raises(ParabolicError):
+            field_discriminant(word_to_matrix("LL"))
+        with pytest.raises(EllipticError):
+            field_discriminant(V)  # trace 1
+        with pytest.raises(EllipticError):
+            field_discriminant(U)  # trace 0
 
 
 def test_field_discriminant_matches_direct_factorization():
