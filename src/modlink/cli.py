@@ -25,6 +25,7 @@ from .cutting import (
     slope_to_word,
 )
 from .farey import (
+    SLOPE_PATTERN,
     NegativeSlopeError,
     NotAChainError,
     NotNeighboursError,
@@ -58,11 +59,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-_SLOPE_RE = re.compile(r"^[+-]?\d+/[+-]?\d+$")
-
-
 def _slope_arg(text: str) -> Slope:
-    if not _SLOPE_RE.match(text):
+    if not SLOPE_PATTERN.fullmatch(text):
         raise argparse.ArgumentTypeError(f"malformed-slope: {text!r} is not 'p/q'")
     num, den = text.split("/")
     if int(num) == 0 and int(den) == 0:

@@ -110,8 +110,11 @@ def ab_sequence(s: Slope) -> ABWord:
     return ABWord(word)
 
 
-def _ab_events(p: int, q: int) -> list[tuple[tuple[Fraction, Fraction], str]]:
-    """Sorted AB crossing events of one period, keyed by (x0, eps coeff)."""
+def ab_events(p: int, q: int) -> list[tuple[tuple[Fraction, Fraction], str]]:
+    """Sorted AB crossing events of one period, keyed by (x0, eps coeff).
+
+    Shared by the oracle ab_sequence_geometric and the lattice-line figure.
+    """
     events = [((Fraction(k), Fraction(0)), "A") for k in range(1, q + 1)]
     events += [
         ((Fraction(m * q, p), Fraction(-q, p)), "B") for m in range(1, p + 1)
@@ -130,7 +133,7 @@ def ab_sequence_geometric(s: Slope) -> ABWord:
     At the lattice corner this puts B just before A.
     """
     _require_positive(s)
-    return ABWord("".join(letter for _, letter in _ab_events(s.p, s.q)))
+    return ABWord("".join(letter for _, letter in ab_events(s.p, s.q)))
 
 
 _PAIR_RULE = {"AB": "L", "BA": "R", "AA": "RL", "BB": "LR"}
@@ -162,14 +165,15 @@ def slope_to_word(s: Slope) -> GeodesicWord:
     return ab_to_lr(ab_sequence(s))
 
 
-def _lr_events(
+def lr_events(
     p: int, q: int
 ) -> list[tuple[tuple[Fraction, Fraction], tuple[str, int]]]:
     """Sorted grid-line crossing events over two periods of the line.
 
     Grid lines are verticals x = k, horizontals y = m and the slope-one
     diagonals y = x + c; each event records the exact crossing abscissa
-    as (x0, eps coefficient) plus the line crossed.
+    as (x0, eps coefficient) plus the line crossed.  Shared by the
+    oracle lr_geometric_oracle and the lattice-line figure.
     """
     events: list[tuple[tuple[Fraction, Fraction], tuple[str, int]]] = []
     for k in range(1, 2 * q + 1):
@@ -204,7 +208,7 @@ def lr_geometric_oracle(s: Slope) -> GeodesicWord:
     """
     _require_positive(s)
     p, q = s.p, s.q
-    events = _lr_events(p, q)
+    events = lr_events(p, q)
     n = p + q + abs(p - q)
     letters = []
     for i in range(n):

@@ -11,9 +11,14 @@ arithmetic on immutable values.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable
+
+
+# The one slope grammar: ASCII digits with an optional sign on each side.
+SLOPE_PATTERN = re.compile(r"[+-]?[0-9]+/[+-]?[0-9]+")
 
 
 class NotNeighboursError(ValueError):
@@ -62,14 +67,12 @@ class Slope:
 
     @classmethod
     def parse(cls, text: str) -> "Slope":
-        """Parse 'p/q' with an optional sign, e.g. '-2/1' or '1/0'."""
-        num, sep, den = text.strip().partition("/")
-        if not sep:
+        """Parse 'p/q' (SLOPE_PATTERN, outer whitespace ignored), e.g. '-2/1'."""
+        stripped = text.strip()
+        if not SLOPE_PATTERN.fullmatch(stripped):
             raise ValueError(f"malformed slope {text!r}: expected 'p/q'")
-        try:
-            return cls(int(num), int(den))
-        except ValueError as exc:
-            raise ValueError(f"malformed slope {text!r}: {exc}") from None
+        num, den = stripped.split("/")
+        return cls(int(num), int(den))
 
     @property
     def is_infinity(self) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .cutting import UnsupportedSlopeError, _ab_events, _lr_events, lr_geometric_oracle
+from .cutting import UnsupportedSlopeError, ab_events, lr_events, lr_geometric_oracle
 from .farey import FareyPath, FareyTriangle, Slope, base_triangle
 
 
@@ -162,7 +162,7 @@ def lattice_line_svg(s: Slope) -> str:
         x = (idx - _DRAW_EPS) * q / (p - q)
         return (x, x + idx)
 
-    for (x0, coeff), letter in _ab_events(p, q):
+    for (x0, coeff), letter in ab_events(p, q):
         if letter == "A":
             x, y = float(x0), p / q * float(x0) + _DRAW_EPS
         else:
@@ -178,7 +178,7 @@ def lattice_line_svg(s: Slope) -> str:
             f'text-anchor="middle" class="ab-label">{letter}</text>'
         )
 
-    events = _lr_events(p, q)
+    events = lr_events(p, q)
     letters = lr_geometric_oracle(s).letters
     for i, letter in enumerate(letters):
         x1, y1 = event_xy(events[i][1])

@@ -12,7 +12,6 @@ literature) carried alongside rather than adjudicated.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,9 @@ from typing import Iterator
 
 from .cutting import slope_to_word
 from .farey import (
+    INFINITY,
     ONE,
+    ZERO,
     FareyPath,
     NotNeighboursError,
     Slope,
@@ -110,13 +111,17 @@ class LinkFamily:
 
     target: Slope
     path: FareyPath
-    x: int
     slopes: tuple[Slope, ...]
     orbits: tuple[OrbitRecord, ...]
     blocks: tuple[OctahedralBlock, ...]
     counts: OctahedronCounts
     volume_modular: float
     total_length: float
+
+    @property
+    def x(self) -> int:
+        """Triangles in the Farey path, which is also the orbit count."""
+        return self.path.x
 
     @property
     def volume_alternative(self) -> float:
@@ -160,7 +165,7 @@ def build_family(target: Slope) -> LinkFamily:
         if orbit & seen:
             raise RuntimeError(f"orbit of {rep} overlaps a previous orbit")
         seen |= orbit
-        word = slope_to_word(rep).canonical()
+        word = slope_to_word(rep)
         matrix = word_to_matrix(word)
         orbits.append(
             OrbitRecord(
@@ -180,7 +185,6 @@ def build_family(target: Slope) -> LinkFamily:
     return LinkFamily(
         target=target,
         path=path,
-        x=x,
         slopes=tuple(chain),
         orbits=tuple(orbits),
         blocks=blocks,
@@ -190,18 +194,23 @@ def build_family(target: Slope) -> LinkFamily:
     )
 
 
+def _tower_word(n: int) -> str:
+    """Least rotation of LR(RL)^(n-1); for n >= 2 it starts at the only cyclic LL."""
+    return "LR" if n == 1 else "LLRR" + "LR" * (n - 2)
+
+
 def gamma_sequence(n: int) -> LinkFamily:
     """Family of the first n geodesic words LR, LRRL, LR(RL)^2, ...
 
     Equivalently build_family(1/n): the path to 1/n passes through
     1/2, ..., 1/(n-1), and the k-th orbit word is LR(RL)^(k-1).  The
-    word pattern is verified here rather than assumed.
+    canonical letters are verified here rather than assumed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     family = build_family(Slope(1, n))
-    expected = [GeodesicWord("LR" + "RL" * k) for k in range(n)]
-    actual = [record.word for record in family.orbits]
+    expected = [_tower_word(k) for k in range(1, n + 1)]
+    actual = [record.word.letters for record in family.orbits]
     if actual != expected:
         raise RuntimeError(f"orbit words of 1/{n} deviate from LR(RL)^(k-1)")
     return family
@@ -235,7 +244,7 @@ def volume_length_table(n_max: int) -> VolumeReport:
     rows = []
     cumulative = 0.0
     for n in range(1, n_max + 1):
-        word = GeodesicWord("LR" + "RL" * (n - 1)).canonical()
+        word = GeodesicWord(_tower_word(n))
         matrix = word_to_matrix(word)
         length = geodesic_length(matrix)
         cumulative += length
@@ -256,39 +265,24 @@ def volume_length_table(n_max: int) -> VolumeReport:
     return VolumeReport(tuple(rows), v_oct())
 
 
-_MIRROR_CHOICES = str.maketrans("LR", "RL")
-
-
-def _census_target(choices: str) -> Slope:
-    """Target slope of a depth-(len+1) path picked by left/right choices."""
-    if not choices:
-        return ONE
-    lo, hi = (Slope(0, 1), ONE) if choices[0] == "L" else (ONE, Slope(1, 0))
-    for pick in choices[1:]:
-        m = mediant(lo, hi)
-        if pick == "L":
-            hi = m
-        else:
-            lo = m
-    return mediant(lo, hi)
-
-
 def census(max_x: int, dedupe_mirror: bool = False) -> Iterator[LinkFamily]:
-    """All families of depth 1..max_x, by depth then choice string.
+    """All families of depth 1..max_x, by depth then by target value.
 
-    Depth x contributes the 2^(x-1) binary descent choices from the base
-    triangle.  With dedupe_mirror, of each pair of families related by
-    swapping every left/right choice (equivalently p/q <-> q/p) only the
-    lexicographically earlier one is emitted.
+    The targets of depth x are the 2^(x-1) mediants of neighbouring
+    slopes in row x - 1 of the Stern-Brocot tree, which starts as
+    [0/1, 1/0] and gains each depth's mediants in place.  With
+    dedupe_mirror, of each pair of families related by the mirror
+    p/q <-> q/p only the one with p <= q is emitted.
     """
     if max_x < 1:
         raise ValueError("max_x must be >= 1")
-    for depth in range(1, max_x + 1):
-        for picks in itertools.product("LR", repeat=depth - 1):
-            choices = "".join(picks)
-            if dedupe_mirror and choices.translate(_MIRROR_CHOICES) < choices:
-                continue
-            yield build_family(_census_target(choices))
+    row = [ZERO, INFINITY]
+    for _ in range(max_x):
+        targets = [mediant(lo, hi) for lo, hi in zip(row, row[1:])]
+        for target in targets:
+            if not (dedupe_mirror and target.p > target.q):
+                yield build_family(target)
+        row = [s for pair in zip(row, targets) for s in pair] + row[-1:]
 
 
 @dataclass(frozen=True)

@@ -175,11 +175,6 @@ class GeodesicWord(CyclicWord):
         return "L" in self.letters and "R" in self.letters
 
 
-def canonical_cyclic(word: GeodesicWord) -> GeodesicWord:
-    """Least-rotation representative (L sorts before R)."""
-    return word.canonical()
-
-
 def word_to_matrix(word: "GeodesicWord | str") -> MatrixPSL2Z:
     """Left-to-right product of the generator matrices L and R of the word.
 
@@ -202,6 +197,14 @@ def word_to_matrix(word: "GeodesicWord | str") -> MatrixPSL2Z:
     return MatrixPSL2Z(a, b, c, d)
 
 
+def _require_hyperbolic(t: int) -> None:
+    """Raise unless t > 2, the trace of a hyperbolic element."""
+    if t == 2:
+        raise ParabolicError("trace 2 is parabolic: no closed geodesic")
+    if t < 2:
+        raise EllipticError(f"trace {t} < 2 is elliptic or the identity")
+
+
 def trace_length(t: int) -> float:
     """Translation length 2*ln((t + sqrt(t^2 - 4))/2) of a trace-t element.
 
@@ -209,10 +212,7 @@ def trace_length(t: int) -> float:
     root factor is 1 to double precision and ln of the unbounded integer
     is taken directly, preserving at least 12 significant digits.
     """
-    if t == 2:
-        raise ParabolicError("trace 2 is parabolic: no closed geodesic")
-    if t < 2:
-        raise EllipticError(f"trace {t} < 2 is elliptic or the identity")
+    _require_hyperbolic(t)
     if t.bit_length() <= 500:
         x = float(t)
         return 2.0 * math.log((x + math.sqrt(x * x - 4.0)) / 2.0)
@@ -341,10 +341,7 @@ def field_discriminant(m: MatrixPSL2Z) -> int:
     trace are factored once.
     """
     t = m.trace()
-    if t == 2:
-        raise ParabolicError("trace 2 is parabolic: field degenerates")
-    if t < 2:
-        raise EllipticError(f"trace {t} < 2 is elliptic or the identity")
+    _require_hyperbolic(t)
     return _trace_discriminant(t)
 
 

@@ -196,6 +196,9 @@ def test_cutting_output_slopes_reparse(capsys):
         ("svg-path", "3/2"),
         ("nonsense",),
         (),
+        ("word", "3/2\n"),
+        ("word", "\u0663/\u0662"),
+        ("word", "1_0/3"),
     ],
 )
 def test_malformed_invocations_exit_2(capsys, argv):

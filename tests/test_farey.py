@@ -166,7 +166,7 @@ def test_slope_parse_and_str_round_trip():
         assert str(Slope.parse(text)) == text
     assert Slope.parse("6/4") == Slope(3, 2)
     assert Slope.parse(" 3/2 ") == Slope(3, 2)
-    for bad in ["3", "3/", "/2", "a/b", "1.5/2", ""]:
+    for bad in ["3", "3/", "/2", "a/b", "1.5/2", "", "1_0/3", "\u0663/\u0662"]:
         with pytest.raises(ValueError):
             Slope.parse(bad)
     with pytest.raises(ValueError):

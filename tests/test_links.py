@@ -9,6 +9,7 @@ quadrature of -8 * integral of ln(2 sin t) on [0, pi/4].
 import json
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
@@ -19,11 +20,13 @@ from modlink.farey import (
     NegativeSlopeError,
     NotNeighboursError,
     Slope,
+    farey_path,
     v_rotate,
 )
 from modlink.links import (
     LinkFamily,
     OctahedralBlock,
+    _tower_word,
     build_family,
     census,
     cover_scale,
@@ -31,7 +34,7 @@ from modlink.links import (
     v_oct,
     volume_length_table,
 )
-from modlink.psl2z import GeodesicWord, trace_length
+from modlink.psl2z import GeodesicWord, least_rotation, trace_length
 from modlink.serialize import (
     family_text,
     family_to_dict,
@@ -202,6 +205,11 @@ def test_gamma_sequence_words_and_traces():
         gamma_sequence(0)
 
 
+def test_tower_word_is_least_rotation_of_lr_rl_power():
+    for n in range(1, 301):
+        assert _tower_word(n) == least_rotation("LR" + "RL" * (n - 1)), n
+
+
 def test_gamma_trace_recursion_holds_to_50():
     traces = [r.trace for r in gamma_sequence(50).orbits]
     assert traces[0] == 3 and traces[1] == 6
@@ -256,6 +264,32 @@ def test_census_mirror_dedupe():
     assert _strs(f.target for f in families) == ["1/1", "1/2", "1/3", "2/3"]
     with pytest.raises(ValueError):
         list(census(0))
+
+
+@pytest.mark.parametrize("dedupe_mirror", [False, True])
+def test_census_targets_match_brute_force_to_depth_8(dedupe_mirror):
+    # every slope of Farey depth <= 8 has p, q <= F(9) = 34
+    by_depth: dict[int, list[Slope]] = {x: [] for x in range(1, 9)}
+    for p in range(1, 35):
+        for q in range(1, 35):
+            s = Slope(p, q)
+            if (s.p, s.q) != (p, q) or (dedupe_mirror and p > q):
+                continue
+            x = farey_path(s).x
+            if x <= 8:
+                by_depth[x].append(s)
+    families = list(census(8, dedupe_mirror=dedupe_mirror))
+    assert [f.x for f in families] == sorted(f.x for f in families)
+    actual = {
+        x: [f.target for f in group] for x, group in groupby(families, lambda f: f.x)
+    }
+    assert actual == {x: sorted(slopes) for x, slopes in by_depth.items()}
+
+
+def test_census_orbit_words_are_canonical():
+    for family in census(6):
+        for record in family.orbits:
+            assert record.word.letters == least_rotation(record.word.letters)
 
 
 def test_census_depth_three_has_both_word_sets():
