@@ -40,7 +40,6 @@ from .farey import (
     v_rotate,
 )
 from .links import (
-    CoverScale,
     LinkFamily,
     OctahedralBlock,
     OctahedronCounts,
@@ -49,7 +48,6 @@ from .links import (
     VolumeRow,
     build_family,
     census,
-    cover_scale,
     gamma_sequence,
     v_oct,
     volume_length_table,
@@ -74,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ABWord",
     "ContinuedFraction",
-    "CoverScale",
     "EllipticError",
     "FareyPath",
     "FareyTriangle",
@@ -103,7 +100,6 @@ __all__ = [
     "build_family",
     "census",
     "continued_fraction",
-    "cover_scale",
     "farey_path",
     "field_discriminant",
     "gamma_sequence",

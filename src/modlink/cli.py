@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import re
 import sys
 
 from . import figures, links, serialize
@@ -52,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # teach argparse that -2/1 is a value, not an option flag
-        self._negative_number_matcher = re.compile(r"^-\d+(/-?\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = SLOPE_PATTERN
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
@@ -278,9 +277,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DomainInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except tuple(cls for cls, _ in _DOMAIN_SLUGS) as exc:
         slug = next(slug for cls, slug in _DOMAIN_SLUGS if isinstance(exc, cls))
         print(f"error: {slug}: {exc}", file=sys.stderr)

@@ -137,19 +137,19 @@ class LinkFamily:
 def build_family(target: Slope) -> LinkFamily:
     """Construct the link family of a nonnegative target slope.
 
-    Takes the Farey path to the target, closes its 2 + x vertex slopes
-    under the order-three rotation to exactly 3x slopes, checks that
-    sorted they form a cyclic Farey chain invariant under the rotation,
-    partitions them into x orbits (the orbit of the base triangle first,
-    then one per new path vertex), and assembles the octahedral blocks,
-    counts and volumes.
+    Takes the Farey path to the target and the rotation orbits of its x
+    representatives (1/1, whose orbit holds the base triangle, then one
+    per new path vertex).  Their union must have exactly 3x slopes, so
+    the x orbits of at most three slopes are disjoint; it must be
+    invariant under the order-three rotation and, sorted, form a cyclic
+    Farey chain.  The octahedral blocks, counts and volumes follow.
     """
     path = farey_path(target)
     x = path.x
 
-    closure: set[Slope] = set()
-    for s in path.slopes():
-        closure |= v_orbit(s)
+    representatives = (ONE,) + path.new_vertices
+    rep_orbits = [v_orbit(rep) for rep in representatives]
+    closure = frozenset().union(*rep_orbits)
     if len(closure) != 3 * x:
         raise RuntimeError(
             f"rotation closure of {target} has {len(closure)} slopes, expected {3 * x}"
@@ -159,12 +159,7 @@ def build_family(target: Slope) -> LinkFamily:
     chain = order_as_farey_chain(closure)
 
     orbits = []
-    seen: set[Slope] = set()
-    for rep in (ONE,) + path.new_vertices:
-        orbit = v_orbit(rep)
-        if orbit & seen:
-            raise RuntimeError(f"orbit of {rep} overlaps a previous orbit")
-        seen |= orbit
+    for rep, orbit in zip(representatives, rep_orbits):
         word = slope_to_word(rep)
         matrix = word_to_matrix(word)
         orbits.append(
@@ -283,23 +278,3 @@ def census(max_x: int, dedupe_mirror: bool = False) -> Iterator[LinkFamily]:
             if not (dedupe_mirror and target.p > target.q):
                 yield build_family(target)
         row = [s for pair in zip(row, targets) for s in pair] + row[-1:]
-
-
-@dataclass(frozen=True)
-class CoverScale:
-    """Octahedron count and volume scaled to a finite cover."""
-
-    degree: int
-    octahedra: int
-    volume: float
-
-
-def cover_scale(family: LinkFamily, degree: int) -> CoverScale:
-    """Counts and volume in a degree-d cover: d*x octahedra, d*x*v_oct."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    return CoverScale(
-        degree=degree,
-        octahedra=degree * family.x,
-        volume=degree * family.x * v_oct(),
-    )

@@ -102,24 +102,34 @@ def generator(name: str) -> MatrixPSL2Z:
 
 
 def least_rotation(s: str) -> str:
-    """Lexicographically least rotation of s, in O(len(s)) (Booth)."""
+    """Lexicographically least rotation of s, in O(len(s)) time with no table.
+
+    Two live starts i < j of ss = s + s are compared at offset k, the
+    length of their common prefix so far.  At the first mismatch, for
+    each t in 0..k the rotations at i + t and j + t agree on their first
+    k - t letters and differ at the next one the same way; so each of
+    the k + 1 starts on the losing side is beaten by its partner and is
+    skipped.  Every start below j except i has been beaten, so a least
+    rotation starts at i once j passes the end of s.  It does too once k
+    reaches len(s): the rotations at i and j are then equal, so s has
+    period j - i and every rotation equals one starting in i..j-1, all
+    of which but i are beaten.
+    """
+    n = len(s)
     ss = s + s
-    f = [-1] * len(ss)
-    k = 0
-    for j in range(1, len(ss)):
-        sj = ss[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != ss[k + i + 1]:
-            if sj < ss[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != ss[k + i + 1]:
-            if sj < ss[k]:
-                k = j
-            f[j - k] = -1
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = ss[i + k], ss[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i = max(i + k + 1, j)
+            j = i + 1
         else:
-            f[j - k] = i + 1
-    return s[k:] + s[:k]
+            j += k + 1
+        k = 0
+    return s[i:] + s[:i]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +152,17 @@ class CyclicWord:
         return least_rotation(self.letters)
 
     def canonical(self) -> "CyclicWord":
-        """The representative spelled as the least rotation."""
-        return type(self)(self._canonical_letters)
+        """The representative spelled as the least rotation.
+
+        The word itself when it is already so spelled; otherwise a new
+        word whose canonical letters are known, so it is never rescanned.
+        """
+        letters = self._canonical_letters
+        if letters == self.letters:
+            return self
+        word = type(self)(letters)
+        object.__setattr__(word, "_canonical_letters", letters)
+        return word
 
     def rotated(self, k: int) -> "CyclicWord":
         k %= len(self.letters)

@@ -12,8 +12,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from modlink import links
+from modlink import links, psl2z
 from modlink.cli import main
+from modlink.psl2z import least_rotation
 
 
 def run(capsys, *argv):
@@ -31,10 +32,11 @@ def test_word(capsys):
 
 
 def test_word_routes_negative_slope_with_notice(capsys):
-    code, out, err = run(capsys, "word", "-2/1")
-    assert code == 0
-    assert out == "LLRRLR\n"
-    assert err == "notice: -2/1 routed via v-orbit representative 1/3\n"
+    for slope in ("-2/1", "-2/+1"):
+        code, out, err = run(capsys, "word", slope)
+        assert code == 0
+        assert out == "LLRRLR\n"
+        assert err == "notice: -2/1 routed via v-orbit representative 1/3\n"
 
 
 def test_slope_info(capsys):
@@ -67,6 +69,21 @@ def test_cutting_with_oracle_check(capsys):
         "oracle-ab: match",
         "oracle-lr: match",
     ]
+
+
+def test_cutting_check_scans_each_word_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(len(s))
+        return least_rotation(s)
+
+    monkeypatch.setattr(psl2z, "least_rotation", counting)
+    code, out, err = run(capsys, "cutting", "10007/7777", "--check")
+    assert (code, err) == (0, "")
+    assert out.endswith("oracle-ab: match\noracle-lr: match\n")
+    # one scan each: the AB word, the LR word and the two oracle words
+    assert sorted(calls) == [17784, 17784, 20014, 20014]
 
 
 def test_length(capsys):
@@ -199,6 +216,7 @@ def test_cutting_output_slopes_reparse(capsys):
         ("word", "3/2\n"),
         ("word", "\u0663/\u0662"),
         ("word", "1_0/3"),
+        ("word", "-.5"),
     ],
 )
 def test_malformed_invocations_exit_2(capsys, argv):

@@ -29,7 +29,6 @@ from modlink.links import (
     _tower_word,
     build_family,
     census,
-    cover_scale,
     gamma_sequence,
     v_oct,
     volume_length_table,
@@ -301,20 +300,6 @@ def test_census_depth_three_has_both_word_sets():
     assert frozenset({"LR", "LLRR", "LLRRLR"}) in word_sets
     assert frozenset({"LR", "LLRR", "LLRLRR"}) in word_sets
     assert len(word_sets) == 2
-
-
-# ---------------------------------------------------------------- covers
-
-
-def test_cover_scale():
-    six = cover_scale(build_family(ONE), 6)
-    assert (six.degree, six.octahedra) == (6, 6)
-    assert six.volume == pytest.approx(6 * V_OCT_REFERENCE, rel=1e-12)
-    twelve = cover_scale(build_family(Slope(1, 2)), 12)
-    assert twelve.octahedra == 24
-    assert twelve.volume == pytest.approx(24 * V_OCT_REFERENCE, rel=1e-12)
-    with pytest.raises(ValueError):
-        cover_scale(build_family(ONE), 0)
 
 
 # --------------------------------------------------------- serialization

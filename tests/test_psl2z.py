@@ -18,6 +18,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from modlink import psl2z
 from modlink.cutting import slope_to_word
 from modlink.farey import Slope
 from modlink.psl2z import (
@@ -139,6 +140,37 @@ def test_least_rotation_random(s):
     assert least_rotation(s) == _brute_least_rotation(s)
 
 
+def _fibonacci_word(length: int) -> str:
+    shorter, longer = "L", "LR"
+    while len(longer) < length:
+        shorter, longer = longer, longer + shorter
+    return longer
+
+
+@pytest.mark.parametrize("slope", ["1597/987", "1999/1000", "1/2000", "2000/1"])
+def test_least_rotation_of_rotated_cutting_words(slope):
+    letters = slope_to_word(Slope.parse(slope)).letters
+    n = len(letters)
+    for k in (0, 1, n // 3, n // 2, n - 1):
+        rotated = letters[k:] + letters[:k]
+        assert least_rotation(rotated) == _brute_least_rotation(rotated) == letters
+
+
+@pytest.mark.parametrize(
+    "letters",
+    ["LR" * 500, "LLR" * 300, "L" * 1000 + "R", "R" + "L" * 1000, _fibonacci_word(4181)],
+    ids=["LR-power", "LLR-power", "L-run-then-R", "R-then-L-run", "fibonacci-4181"],
+)
+def test_least_rotation_long_structured_words(letters):
+    assert least_rotation(letters) == _brute_least_rotation(letters)
+
+
+def test_least_rotation_empty_and_single_letters():
+    assert least_rotation("") == ""
+    for letter in "LRAB":
+        assert least_rotation(letter) == _brute_least_rotation(letter) == letter
+
+
 def test_cyclic_word_semantics():
     w = GeodesicWord("RLL")
     assert w == GeodesicWord("LLR") == w.rotated(1)
@@ -154,6 +186,24 @@ def test_cyclic_word_semantics():
         GeodesicWord("")
     with pytest.raises(ValueError):
         CyclicWord("L")  # base class admits no letters
+
+
+def test_canonical_word_is_never_rescanned(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return least_rotation(s)
+
+    monkeypatch.setattr(psl2z, "least_rotation", counting)
+    already = GeodesicWord("LLR")
+    assert already.canonical() is already
+    w = GeodesicWord("RLL")
+    c = w.canonical()
+    assert c.letters == "LLR" and calls == ["LLR", "RLL"]
+    assert c == w and c == already and hash(c) == hash(w)
+    assert c.canonical() is c
+    assert calls == ["LLR", "RLL"]
 
 
 def test_power_words_are_parabolic():
