@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
+import re
 import sys
 
 from . import figures, links, serialize
@@ -47,11 +49,15 @@ class DomainInputError(Exception):
     """Well-formed input naming an undefined object (e.g. 0/0)."""
 
 
+_NEGATIVE_NUMBER_START = re.compile(r"-[0-9]")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # teach argparse that -2/1 is a value, not an option flag
-        self._negative_number_matcher = SLOPE_PATTERN
+        # argparse prefix-matches this: an argument that starts like a
+        # negative number (-2, -2/1) is a value, not an option flag
+        self._negative_number_matcher = _NEGATIVE_NUMBER_START
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
@@ -135,7 +141,7 @@ def _cmd_cutting(args) -> int:
     ab = ab_sequence(s)
     lr = slope_to_word(s)
     print(f"slope: {s}")
-    print(f"ab-word: {ab.canonical()}")
+    print(f"ab-word: {ab}")
     print(f"lr-word: {lr}")
     if args.check:
         ab_ok = ab == ab_sequence_geometric(s)
@@ -197,7 +203,9 @@ def _cmd_svg_line(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state on it."""
     parser = _Parser(
         prog="modlink",
         description="Farey paths, cutting sequences and modular-link volumes.",

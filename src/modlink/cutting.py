@@ -5,6 +5,8 @@ lattice points by an infinitesimal upward shift, crosses vertical lines
 (letter A) and horizontal lines (letter B); one period gives a cyclic
 word with q A's and p B's.  Reading cyclically consecutive letter pairs
 translates this to the LR word of the corresponding conjugacy class.
+Both words are built from the lower Christoffel word of p/q, spelled
+directly in its least rotation, so no rotation is ever searched for.
 Both steps have independent geometric simulations, written against the
 lattice itself with exact rational arithmetic, to check the symbolic
 algorithms.
@@ -81,33 +83,27 @@ def _require_positive(s: Slope) -> None:
         raise UnsupportedSlopeError(f"cutting sequence needs p, q >= 1, got {s}")
 
 
-def _insert_b_after_each_a(word: str, count: int) -> str:
-    if count == 0:
-        return word
-    tail = "B" * count
-    return "".join(ch + tail if ch == "A" else ch for ch in word)
-
-
-_AB_SWAP = str.maketrans("AB", "BA")
-
-
 def ab_sequence(s: Slope) -> ABWord:
-    """One period of the cutting sequence of slope p/q, p, q >= 1.
+    """Cutting sequence of slope p/q, p, q >= 1, as its lower Christoffel word.
 
-    Built from the continued-fraction digits: starting from the slope-0
-    word "A", repeatedly insert the current digit's worth of B's into
-    every gap between cyclically successive A's, then exchange the two
-    letters, finishing with the leading digit and no final exchange.  A
-    leading digit 0 (slope < 1) inserts nothing.
+    The lower Christoffel word, with q A's and p B's, is the least
+    rotation of the cutting sequence under A < B.  It is built by the
+    standard factorization, walking down the Christoffel (Stern-Brocot)
+    tree: from the pair (A, B), each continued-fraction digit a, the last
+    one lowered by 1, sets left = left + right^a at an even index and
+    right = left^a + right at an odd one; the word is left + right
+    (Berstel, Lauve, Reutenauer and Saliola, *Combinatorics on Words:
+    Christoffel Words and Repetitions in Words*).
     """
     _require_positive(s)
-    terms = continued_fraction(s).terms
-    word = "A"
-    for i, a in enumerate(reversed(terms)):
-        word = _insert_b_after_each_a(word, a)
-        if i < len(terms) - 1:
-            word = word.translate(_AB_SWAP)
-    return ABWord(word)
+    *head, last = continued_fraction(s).terms
+    left, right = "A", "B"
+    for i, a in enumerate((*head, last - 1)):
+        if i % 2 == 0:
+            left += right * a
+        else:
+            right = left * a + right
+    return ABWord.from_canonical(left + right)
 
 
 def ab_events(p: int, q: int) -> list[tuple[tuple[Fraction, Fraction], str]]:
@@ -153,7 +149,18 @@ def ab_to_lr(word: ABWord) -> GeodesicWord:
 
 
 def slope_to_word(s: Slope) -> GeodesicWord:
-    """Canonical LR word of a nonnegative slope.
+    """Canonical LR word of a nonnegative slope, read off its Christoffel word.
+
+    The upper Christoffel word U, the reverse of the lower one (Berstel
+    et al., cited at ab_sequence), is a rotation of the cutting sequence
+    that starts with B and ends with BA (p >= q) or AA (p < q).  The
+    pair rule of ab_to_lr reads U[:-2] as a plain string, since each of
+    its letters is followed inside U.  The last two letters, whose final
+    A is followed cyclically by the leading B, read RL (from BA) or RLL
+    (from AA); moving that final L, or LL, to the front gives the least
+    rotation.  As one pair never occurs (AA when p >= q, BB when p < q),
+    the pair rule is three string replacements.  The tests check the
+    rule letter for letter against least_rotation(ab_to_lr(...)).
 
     The two degenerate slopes 0/1 and 1/0 share the word LR with 1/1
     (all three lie in one rotation orbit).
@@ -161,8 +168,13 @@ def slope_to_word(s: Slope) -> GeodesicWord:
     if s.p < 0:
         raise NegativeSlopeError(f"no LR word for negative slope {s}")
     if s in (ZERO, INFINITY):
-        return GeodesicWord("LR")
-    return ab_to_lr(ab_sequence(s))
+        return GeodesicWord.from_canonical("LR")
+    body = ab_sequence(s).letters[:1:-1]  # U[:-2]
+    if s.p >= s.q:  # no AA: A -> L, B -> R before A, LR before B
+        lr = "L" + body.replace("BA", "RA").replace("B", "LR").replace("A", "L")
+    else:  # no BB: B -> R, A -> L before B, RL before A
+        lr = "LL" + body.replace("AB", "LB").replace("A", "RL").replace("B", "R")
+    return GeodesicWord.from_canonical(lr + "R")
 
 
 def lr_events(

@@ -147,6 +147,16 @@ class CyclicWord:
         if bad:
             raise ValueError(f"letters {sorted(bad)} not in {sorted(self._alphabet)}")
 
+    @classmethod
+    def from_canonical(cls, letters: str) -> "CyclicWord":
+        """The word spelled by letters already known to be its least rotation.
+
+        The caller vouches for the spelling, so the word is never scanned.
+        """
+        word = cls(letters)
+        object.__setattr__(word, "_canonical_letters", letters)
+        return word
+
     @cached_property
     def _canonical_letters(self) -> str:
         return least_rotation(self.letters)
@@ -158,11 +168,7 @@ class CyclicWord:
         word whose canonical letters are known, so it is never rescanned.
         """
         letters = self._canonical_letters
-        if letters == self.letters:
-            return self
-        word = type(self)(letters)
-        object.__setattr__(word, "_canonical_letters", letters)
-        return word
+        return self if letters == self.letters else self.from_canonical(letters)
 
     def rotated(self, k: int) -> "CyclicWord":
         k %= len(self.letters)

@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from modlink import links, psl2z
+from modlink import cli, links, psl2z
 from modlink.cli import main
 from modlink.psl2z import least_rotation
 
@@ -82,8 +82,44 @@ def test_cutting_check_scans_each_word_once(capsys, monkeypatch):
     code, out, err = run(capsys, "cutting", "10007/7777", "--check")
     assert (code, err) == (0, "")
     assert out.endswith("oracle-ab: match\noracle-lr: match\n")
-    # one scan each: the AB word, the LR word and the two oracle words
-    assert sorted(calls) == [17784, 17784, 20014, 20014]
+    # the AB and LR words are built canonical; only the two oracle words are scanned
+    assert sorted(calls) == [17784, 20014]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("word", "10007/7777"), ("census", "--max-x", "5")],
+    ids=["word", "census"],
+)
+def test_words_are_built_canonical_without_a_rotation_scan(capsys, monkeypatch, argv):
+    calls = []
+
+    def counting(s):
+        calls.append(len(s))
+        return least_rotation(s)
+
+    monkeypatch.setattr(psl2z, "least_rotation", counting)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert calls == []
+
+
+def test_one_parser_serves_a_sequence_of_commands(capsys):
+    commands = [
+        ("word", "3/"),
+        ("word", "0/0"),
+        ("word", "1/7"),
+        ("table", "--n", "2"),
+    ]
+    alone = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    in_sequence = [run(capsys, *argv) for argv in commands]
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [2, 3, 0, 0]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_length(capsys):
@@ -217,6 +253,9 @@ def test_cutting_output_slopes_reparse(capsys):
         ("word", "\u0663/\u0662"),
         ("word", "1_0/3"),
         ("word", "-.5"),
+        ("census", "--max-x", "-3"),
+        ("word", "-2"),
+        ("word", "-2/1x"),
     ],
 )
 def test_malformed_invocations_exit_2(capsys, argv):
@@ -225,6 +264,20 @@ def test_malformed_invocations_exit_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.rstrip("\n").splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("table", "--n", "-1"), "argument --n: malformed-integer: -1 is not >= 1"),
+        (("census", "--max-x", "-3"), "argument --max-x: malformed-integer: -3 is not >= 1"),
+        (("word", "-2"), "argument slope: malformed-slope: '-2' is not 'p/q'"),
+        (("word", "-2/1x"), "argument slope: malformed-slope: '-2/1x' is not 'p/q'"),
+    ],
+    ids=["table-n", "census-max-x", "word-integer", "word-trailing-text"],
+)
+def test_negative_numbers_are_values_that_name_the_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 # -------------------------------------------------- domain errors, exit 3

@@ -2,13 +2,17 @@
 
 Both word constructions are checked against the geometric oracles,
 which simulate a line of slope p/q crossing the integer grid (and the
-diagonals y = x + c) using exact Fraction arithmetic.
+diagonals y = x + c) using exact Fraction arithmetic, and letter for
+letter against the construction they replaced: the AB word by digit
+substitution, read pair by pair with ab_to_lr, then rotated by
+least_rotation.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from modlink.cutting import (
     ABWord,
@@ -22,7 +26,7 @@ from modlink.cutting import (
     slope_to_word,
 )
 from modlink.farey import INFINITY, ONE, ZERO, NegativeSlopeError, Slope, v_orbit
-from modlink.psl2z import GeodesicWord
+from modlink.psl2z import GeodesicWord, least_rotation
 
 
 def _reduced_positive(bound: int):
@@ -30,6 +34,31 @@ def _reduced_positive(bound: int):
         for q in range(1, bound + 1):
             if math.gcd(p, q) == 1:
                 yield (p, q)
+
+
+_AB_SWAP = str.maketrans("AB", "BA")
+
+
+def _substitution_ab_word(s: Slope) -> str:
+    """Cutting sequence by digit substitution, in no particular rotation.
+
+    From the slope-0 word "A", for each continued-fraction digit a from
+    the last to the first, insert a B's after every A, then exchange the
+    letters, except after the leading digit.
+    """
+    terms = continued_fraction(s).terms
+    word = "A"
+    for i, a in enumerate(reversed(terms)):
+        word = "".join(ch + "B" * a if ch == "A" else ch for ch in word)
+        if i < len(terms) - 1:
+            word = word.translate(_AB_SWAP)
+    return word
+
+
+def _oracle_words(s: Slope) -> tuple[str, str]:
+    """Least rotations of the substitution AB word and of its pair reading."""
+    ab = _substitution_ab_word(s)
+    return least_rotation(ab), least_rotation(ab_to_lr(ABWord(ab)).letters)
 
 
 # --------------------------------------------------- continued fractions
@@ -72,6 +101,42 @@ def test_ab_worked_examples():
     assert ab_sequence(Slope(3, 2)) == ABWord("BABBA")
     for n in range(1, 11):
         assert ab_sequence(Slope(1, n)) == ABWord("B" + "A" * n)
+
+
+def test_ab_is_the_lower_christoffel_word():
+    assert ab_sequence(ONE).letters == "AB"
+    assert ab_sequence(Slope(1, 2)).letters == "AAB"
+    assert ab_sequence(Slope(3, 2)).letters == "ABABB"
+    assert ab_sequence(Slope(2, 5)).letters == "AAABAAB"
+    assert ab_sequence(Slope(5, 2)).letters == "ABBABBB"
+
+
+def test_words_spell_the_least_rotation_of_the_substitution_oracle():
+    for p, q in _reduced_positive(120):
+        s = Slope(p, q)
+        ab, lr = _oracle_words(s)
+        assert ab_sequence(s).letters == ab, s
+        assert slope_to_word(s).letters == lr, s
+
+
+def test_words_spell_the_least_rotation_of_the_geometric_oracles():
+    for p, q in _reduced_positive(30):
+        s = Slope(p, q)
+        ab, lr = _oracle_words(s)
+        assert ab_sequence(s).letters == least_rotation(ab_sequence_geometric(s).letters) == ab
+        assert slope_to_word(s).letters == least_rotation(lr_geometric_oracle(s).letters) == lr
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 20000), st.integers(1, 20000))
+@example(10007, 7777)
+@example(19999, 20000)
+@example(1, 20000)
+@example(17711, 10946)  # consecutive Fibonacci numbers: all digits 1
+def test_long_words_spell_the_least_rotation_of_the_substitution_oracle(p, q):
+    g = math.gcd(p, q)
+    s = Slope(p // g, q // g)
+    assert (ab_sequence(s).letters, slope_to_word(s).letters) == _oracle_words(s)
 
 
 def test_ab_letter_counts_are_crossing_counts():

@@ -206,6 +206,23 @@ def test_canonical_word_is_never_rescanned(monkeypatch):
     assert calls == ["LLR", "RLL"]
 
 
+def test_word_from_canonical_letters_is_never_scanned(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return least_rotation(s)
+
+    monkeypatch.setattr(psl2z, "least_rotation", counting)
+    w = GeodesicWord.from_canonical("LLR")
+    assert type(w) is GeodesicWord and w.letters == "LLR"
+    assert w.canonical() is w and w == GeodesicWord.from_canonical("LLR")
+    assert hash(w) == hash(GeodesicWord.from_canonical("LLR"))
+    assert calls == []
+    with pytest.raises(ValueError):
+        GeodesicWord.from_canonical("LLX")
+
+
 def test_power_words_are_parabolic():
     for letters in ["L", "R", "LLL", "RRRR"]:
         assert word_to_matrix(letters).trace() == 2
