@@ -11,7 +11,6 @@ suite.
 
 from .cutting import (
     ABWord,
-    ContinuedFraction,
     UnsupportedSlopeError,
     ab_sequence,
     ab_sequence_geometric,
@@ -48,7 +47,6 @@ from .links import (
     VolumeRow,
     build_family,
     census,
-    gamma_sequence,
     v_oct,
     volume_length_table,
 )
@@ -59,10 +57,8 @@ from .psl2z import (
     NotHyperbolicError,
     ParabolicError,
     field_discriminant,
-    generator,
     geodesic_length,
     least_rotation,
-    squarefree_part,
     trace_length,
     word_to_matrix,
 )
@@ -71,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABWord",
-    "ContinuedFraction",
     "EllipticError",
     "FareyPath",
     "FareyTriangle",
@@ -102,8 +97,6 @@ __all__ = [
     "continued_fraction",
     "farey_path",
     "field_discriminant",
-    "gamma_sequence",
-    "generator",
     "geodesic_length",
     "is_farey_neighbour",
     "least_rotation",
@@ -112,7 +105,6 @@ __all__ = [
     "nonnegative_representative",
     "order_as_farey_chain",
     "slope_to_word",
-    "squarefree_part",
     "trace_length",
     "v_oct",
     "v_orbit",

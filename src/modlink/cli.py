@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 malformed input, 3 domain error (negative
-slope where unsupported, parabolic or elliptic word, 0/0).  Every error
-prints a single line ``error: <slug>: <detail>`` to stderr.  Output is
-deterministic: reals are fixed at 12 significant digits and orderings
-never depend on hashing.
+Exit codes: 0 success, 2 malformed input or an output file that cannot
+be opened for writing, 3 domain error (negative slope where unsupported,
+parabolic or elliptic word, 0/0).  Every error prints a single line
+``error: <slug>: <detail>`` to stderr.  Output is deterministic: reals
+are fixed at 12 significant digits and orderings never depend on
+hashing.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ from .psl2z import (
 
 class DomainInputError(Exception):
     """Well-formed input naming an undefined object (e.g. 0/0)."""
+
+
+class UnwritableOutputError(Exception):
+    """The named output file cannot be opened for writing."""
 
 
 _NEGATIVE_NUMBER_START = re.compile(r"-[0-9]")
@@ -96,9 +101,13 @@ def _output_stream(destination: str):
     """Stdout for '-', otherwise the named file opened for writing."""
     if destination == "-":
         yield sys.stdout
-    else:
-        with open(destination, "w") as fh:
-            yield fh
+        return
+    try:
+        fh = open(destination, "w")
+    except OSError as exc:
+        raise UnwritableOutputError(f"{destination}: {exc.strerror}") from None
+    with fh:
+        yield fh
 
 
 def _write_output(text: str, destination: str) -> None:
@@ -117,13 +126,13 @@ def _route_nonnegative(s: Slope) -> Slope:
 
 def _cmd_slope_info(args) -> int:
     s: Slope = args.slope
-    cf = None if (s.is_infinity or s.p < 0) else continued_fraction(s)
+    cf = None if (s.is_infinity or s.p < 0) else list(continued_fraction(s))
     x = None if s.p < 0 else farey_path(s).x
     orbit = sorted(v_orbit(s))
     if args.json:
         payload = {
             "slope": str(s),
-            "continued_fraction": None if cf is None else list(cf.terms),
+            "continued_fraction": cf,
             "farey_path_length": x,
             "v_orbit": [str(t) for t in orbit],
         }
@@ -289,6 +298,9 @@ def main(argv: "list[str] | None" = None) -> int:
         slug = next(slug for cls, slug in _DOMAIN_SLUGS if isinstance(exc, cls))
         print(f"error: {slug}: {exc}", file=sys.stderr)
         return 3
+    except UnwritableOutputError as exc:
+        print(f"error: unwritable-output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ algorithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .farey import INFINITY, ZERO, NegativeSlopeError, Slope
@@ -25,34 +24,11 @@ class UnsupportedSlopeError(ValueError):
     """The slope has no cutting sequence of the requested kind."""
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """Euclidean continued-fraction digits [a1, a2, ..., ak].
+def continued_fraction(s: Slope) -> tuple[int, ...]:
+    """Euclidean digits (a1, a2, ..., ak) of a nonnegative finite slope.
 
-    a1 >= 0 and all later digits are >= 1; the value reconstructs the
-    slope exactly.
+    a1 >= 0 and every later digit is >= 1.
     """
-
-    terms: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("empty continued fraction")
-        if self.terms[0] < 0 or any(a < 1 for a in self.terms[1:]):
-            raise ValueError(f"bad continued-fraction digits {self.terms}")
-
-    def value(self) -> Fraction:
-        acc = Fraction(self.terms[-1])
-        for a in reversed(self.terms[:-1]):
-            acc = a + 1 / acc
-        return acc
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(a) for a in self.terms) + "]"
-
-
-def continued_fraction(s: Slope) -> ContinuedFraction:
-    """Euclidean expansion of a nonnegative finite slope."""
     if s.is_infinity or s.p < 0:
         raise UnsupportedSlopeError(f"no continued fraction for {s}")
     terms = []
@@ -61,21 +37,13 @@ def continued_fraction(s: Slope) -> ContinuedFraction:
         a, r = divmod(p, q)
         terms.append(a)
         p, q = q, r
-    return ContinuedFraction(tuple(terms))
+    return tuple(terms)
 
 
 class ABWord(CyclicWord):
     """Cyclic crossing word over {A, B}: A vertical, B horizontal."""
 
     _alphabet = frozenset("AB")
-
-    @property
-    def a_count(self) -> int:
-        return self.letters.count("A")
-
-    @property
-    def b_count(self) -> int:
-        return self.letters.count("B")
 
 
 def _require_positive(s: Slope) -> None:
@@ -96,7 +64,7 @@ def ab_sequence(s: Slope) -> ABWord:
     Christoffel Words and Repetitions in Words*).
     """
     _require_positive(s)
-    *head, last = continued_fraction(s).terms
+    *head, last = continued_fraction(s)
     left, right = "A", "B"
     for i, a in enumerate((*head, last - 1)):
         if i % 2 == 0:

@@ -66,13 +66,18 @@ def _tessellation(depth: int) -> list[FareyTriangle]:
     return out
 
 
-def farey_disk_svg(path: FareyPath, background_depth: int = 5) -> str:
+# Dual-tree distance from the base triangle to which the background
+# tessellation of the disk figure is drawn.
+_BACKGROUND_DEPTH = 5
+
+
+def farey_disk_svg(path: FareyPath) -> str:
     """Disk-model picture of the tessellation with the path highlighted.
 
-    Background triangles are drawn to the given dual-tree depth; the
-    path triangles are filled (class "path-triangle", one element per
-    triangle, in path order) and every path vertex is labelled with its
-    slope (class "slope-label").
+    Background triangles are drawn to dual-tree depth _BACKGROUND_DEPTH;
+    the path triangles are filled (class "path-triangle", one element
+    per triangle, in path order) and every path vertex is labelled with
+    its slope (class "slope-label").
     """
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
@@ -81,7 +86,7 @@ def farey_disk_svg(path: FareyPath, background_depth: int = 5) -> str:
         'stroke-width="0.006" class="boundary"/>',
     ]
     shown = {tri.vertices for tri in path.triangles}
-    for tri in _tessellation(background_depth):
+    for tri in _tessellation(_BACKGROUND_DEPTH):
         if tri.vertices in shown:
             continue
         parts.append(

@@ -61,44 +61,9 @@ class MatrixPSL2Z:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    @classmethod
-    def identity(cls) -> "MatrixPSL2Z":
-        return cls(1, 0, 0, 1)
-
-    def __mul__(self, other: "MatrixPSL2Z") -> "MatrixPSL2Z":
-        return MatrixPSL2Z(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def trace(self) -> int:
         """a + d of the normalized representative (always >= 0)."""
         return self.a + self.d
-
-    def __str__(self) -> str:
-        return f"({self.a} {self.b}; {self.c} {self.d})"
-
-
-_GENERATOR_ENTRIES = {
-    "L": (1, 1, 0, 1),
-    "R": (1, 0, 1, 1),
-    "U": (0, -1, 1, 0),
-    "V": (0, -1, 1, -1),
-}
-
-
-def generator(name: str) -> MatrixPSL2Z:
-    """Normalized matrix of a named generator: L, R, U or V.
-
-    L and R are the parabolic generators; U is the order-two and V the
-    order-three rotation, with L = V^2 U and R = V U.
-    """
-    try:
-        return MatrixPSL2Z(*_GENERATOR_ENTRIES[name])
-    except KeyError:
-        raise ValueError(f"unknown generator {name!r}") from None
 
 
 def least_rotation(s: str) -> str:
@@ -170,10 +135,6 @@ class CyclicWord:
         letters = self._canonical_letters
         return self if letters == self.letters else self.from_canonical(letters)
 
-    def rotated(self, k: int) -> "CyclicWord":
-        k %= len(self.letters)
-        return type(self)(self.letters[k:] + self.letters[:k])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -194,14 +155,9 @@ class GeodesicWord(CyclicWord):
 
     _alphabet = frozenset("LR")
 
-    @property
-    def is_hyperbolic(self) -> bool:
-        """Both letters occur, so the trace exceeds 2."""
-        return "L" in self.letters and "R" in self.letters
-
 
 def word_to_matrix(word: "GeodesicWord | str") -> MatrixPSL2Z:
-    """Left-to-right product of the generator matrices L and R of the word.
+    """Left-to-right product of L = (1 1; 0 1) and R = (1 0; 1 1) over the word.
 
     The product is accumulated on four plain integers, one column
     addition per letter (right-multiplying by L adds the first column to
@@ -338,18 +294,6 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def _odd_power_product(factors: dict[int, int]) -> int:
-    """Product of the primes of a factorization that have an odd exponent."""
-    return math.prod(prime for prime, exp in factors.items() if exp % 2)
-
-
-def squarefree_part(n: int) -> int:
-    """Product of the primes dividing n to an odd power."""
-    if n < 1:
-        raise ValueError("positive integer required")
-    return _odd_power_product(_factorize(n))
-
-
 # Traces kept by the discriminant memo.  A census to depth D meets
 # 2^(D-2) + 1 distinct traces (129 at depth 9), so this covers depth 14.
 _DISCRIMINANT_CACHE_SIZE = 4096
@@ -359,11 +303,16 @@ def field_discriminant(m: MatrixPSL2Z) -> int:
     """Squarefree d with Q(sqrt(trace^2 - 4)) = Q(sqrt(d)).
 
     The eigenvalues (t +- sqrt(t^2 - 4))/2 generate this real quadratic
-    field.  Factoring t - 2 and t + 2 separately keeps the trial
-    division bound at sqrt(t) rather than t; cost still grows quickly
-    with word length.  Results are memoised per trace in a bounded LRU
-    cache of _DISCRIMINANT_CACHE_SIZE entries, so classes that share a
-    trace are factored once.
+    field.  Factoring t - 2 and t + 2 separately halves the size of
+    the numbers factored; cost still grows quickly with word length,
+    and no budget bounds it.  Results are memoised per trace in a
+    bounded LRU cache of _DISCRIMINANT_CACHE_SIZE entries, so classes
+    that share a trace are factored once.
+
+    The result is proven only while every cofactor that _is_prime
+    accepts lies below 3.3e24, where its fixed Miller-Rabin witnesses
+    are deterministic; a larger accepted cofactor is only a strong
+    probable prime, so d is exact only if that cofactor is prime.
     """
     t = m.trace()
     _require_hyperbolic(t)
@@ -376,4 +325,4 @@ def _trace_discriminant(t: int) -> int:
     merged = _factorize(t - 2)
     for prime, exp in _factorize(t + 2).items():
         merged[prime] = merged.get(prime, 0) + exp
-    return _odd_power_product(merged)
+    return math.prod(prime for prime, exp in merged.items() if exp % 2)

@@ -126,7 +126,7 @@ def test_criterion_5_oracle_equivalence():
         s = Slope(p, q)
         ab = ab_sequence(s)
         assert ab == ab_sequence_geometric(s), s
-        assert ab.a_count == q and ab.b_count == p, s
+        assert (ab.letters.count("A"), ab.letters.count("B")) == (q, p), s
         word = slope_to_word(s)
         assert word == lr_geometric_oracle(s), s
         mirror = slope_to_word(Slope(q, p))

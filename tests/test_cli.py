@@ -1,13 +1,16 @@
 """Command-line interface tests.
 
-Exit code contract: 0 success, 2 malformed invocation (argparse level),
-3 well-formed input outside the mathematical domain.  All error text
+Exit code contract: 0 success, 2 malformed invocation (argparse level)
+or an output file that cannot be opened, 3 well-formed input outside
+the mathematical domain.  All error text
 goes to stderr as a single "error: ..." line; stdout stays machine
 readable.
 """
 
+import errno
 import io
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -278,6 +281,25 @@ def test_malformed_invocations_exit_2(capsys, argv):
 )
 def test_negative_numbers_are_values_that_name_the_error(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "3/2", "--json"),
+        ("census", "--max-x", "2", "--jsonl"),
+        ("table", "--n", "2", "--csv"),
+        ("svg-path", "3/2", "--out"),
+        ("svg-line", "3/2", "--out"),
+    ],
+    ids=["family-json", "census-jsonl", "table-csv", "svg-path-out", "svg-line-out"],
+)
+def test_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys, argv):
+    target = tmp_path / "missing-directory" / "out"
+    detail = os.strerror(errno.ENOENT)
+    assert run(capsys, *argv, str(target)) == (
+        2, "", f"error: unwritable-output: {target}: {detail}\n"
+    )
 
 
 # -------------------------------------------------- domain errors, exit 3

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from modlink.cutting import (
     ABWord,
-    ContinuedFraction,
     UnsupportedSlopeError,
     ab_sequence,
     ab_sequence_geometric,
@@ -46,7 +45,7 @@ def _substitution_ab_word(s: Slope) -> str:
     the last to the first, insert a B's after every A, then exchange the
     letters, except after the leading digit.
     """
-    terms = continued_fraction(s).terms
+    terms = continued_fraction(s)
     word = "A"
     for i, a in enumerate(reversed(terms)):
         word = "".join(ch + "B" * a if ch == "A" else ch for ch in word)
@@ -64,20 +63,27 @@ def _oracle_words(s: Slope) -> tuple[str, str]:
 # --------------------------------------------------- continued fractions
 
 
+def _continued_fraction_value(terms: tuple[int, ...]) -> Fraction:
+    """Exact value a1 + 1/(a2 + 1/(... + 1/ak)) of the digits."""
+    acc = Fraction(terms[-1])
+    for a in reversed(terms[:-1]):
+        acc = a + 1 / acc
+    return acc
+
+
 def test_continued_fraction_examples():
-    assert continued_fraction(Slope(3, 2)).terms == (1, 2)
-    assert str(continued_fraction(Slope(3, 2))) == "[1, 2]"
-    assert continued_fraction(ONE).terms == (1,)
-    assert continued_fraction(Slope(1, 7)).terms == (0, 7)
-    assert continued_fraction(Slope(2, 1)).terms == (2,)
-    assert continued_fraction(ZERO).terms == (0,)
+    assert continued_fraction(Slope(3, 2)) == (1, 2)
+    assert continued_fraction(ONE) == (1,)
+    assert continued_fraction(Slope(1, 7)) == (0, 7)
+    assert continued_fraction(Slope(2, 1)) == (2,)
+    assert continued_fraction(ZERO) == (0,)
 
 
 def test_continued_fraction_round_trip():
     for p, q in _reduced_positive(60):
-        cf = continued_fraction(Slope(p, q))
-        assert cf.value() == Fraction(p, q)
-        assert all(t >= 1 for t in cf.terms[1:])
+        terms = continued_fraction(Slope(p, q))
+        assert _continued_fraction_value(terms) == Fraction(p, q)
+        assert all(t >= 1 for t in terms[1:])
 
 
 def test_continued_fraction_rejects_out_of_range():
@@ -85,10 +91,6 @@ def test_continued_fraction_rejects_out_of_range():
         continued_fraction(INFINITY)
     with pytest.raises(UnsupportedSlopeError):
         continued_fraction(Slope(-3, 2))
-    with pytest.raises(ValueError):
-        ContinuedFraction((1, 0))
-    with pytest.raises(ValueError):
-        ContinuedFraction((-1,))
 
 
 # -------------------------------------------------------------- AB words
@@ -143,8 +145,8 @@ def test_ab_letter_counts_are_crossing_counts():
     # q vertical crossings (A) and p horizontal crossings (B) per period
     for p, q in _reduced_positive(30):
         word = ab_sequence(Slope(p, q))
-        assert word.a_count == q
-        assert word.b_count == p
+        assert word.letters.count("A") == q
+        assert word.letters.count("B") == p
         assert len(word) == p + q
 
 
@@ -157,9 +159,7 @@ def test_ab_matches_geometric_oracle():
 def test_ab_word_validation():
     with pytest.raises(ValueError):
         ABWord("ABX")
-    w = ABWord("ABBAB")
-    assert w.a_count == 2 and w.b_count == 3
-    assert w == ABWord("BABAB")
+    assert ABWord("ABBAB") == ABWord("BABAB")
 
 
 def test_ab_rejects_slopes_off_the_open_quadrant():

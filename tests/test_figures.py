@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from modlink import figures
 from modlink.cutting import UnsupportedSlopeError
 from modlink.farey import INFINITY, ZERO, Slope, farey_path
 from modlink.figures import farey_disk_svg, lattice_line_svg
@@ -26,9 +27,11 @@ def test_disk_svg_structure():
     assert len(_by_class(root, "triangle")) > 20  # background tessellation
 
 
-def test_disk_svg_background_depth_zero():
-    svg = farey_disk_svg(farey_path(Slope(1, 1)), background_depth=0)
+def test_disk_svg_background_depth_zero(monkeypatch):
+    monkeypatch.setattr(figures, "_BACKGROUND_DEPTH", 0)
+    svg = farey_disk_svg(farey_path(Slope(1, 1)))
     root = ET.fromstring(svg)
+    assert _by_class(root, "triangle") == []  # only the base triangle, on the path
     assert len(_by_class(root, "path-triangle")) == 1
     assert len(_by_class(root, "slope-label")) == 3
 

@@ -3,7 +3,9 @@
 Production modules use only the public names of their siblings: a
 helper shared by an oracle and production code is public by name, so
 no module reaches into another's private internals.  The package's
-``__all__`` lists exactly the names its ``__init__`` imports.
+``__all__`` lists exactly the names its ``__init__`` imports, and each
+of them is used by some other module of the package, so the package
+carries no API that only the tests call.
 """
 
 import ast
@@ -43,3 +45,28 @@ def test_package_all_is_exactly_the_imported_names():
     ]
     assert sorted(modlink.__all__) == sorted(imported)
     assert [name for name in modlink.__all__ if not hasattr(modlink, name)] == []
+
+
+# Public names no package module uses, each with the reason it is kept.
+_UNUSED_PUBLIC_NAMES = {
+    # perfbench's tracer wraps cutting.ab_to_lr by name as a layer
+    "ab_to_lr",
+}
+
+
+def _names_used(path: Path) -> set[str]:
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_name_is_used_by_the_package():
+    modules = [path for path in SOURCE.glob("*.py") if path.name != "__init__.py"]
+    used = set().union(*map(_names_used, modules))
+    assert sorted(set(modlink.__all__) - used) == sorted(_UNUSED_PUBLIC_NAMES)

@@ -1,9 +1,9 @@
 """Family assembly, volume constants, census and serialization tests.
 
-The octahedron volume constant is triangulated three ways: the package
-value (accelerated binomial series), an exact-Fraction Euler transform
-of the alternating series 1 - 1/9 + 1/25 - ..., and numerical
-quadrature of -8 * integral of ln(2 sin t) on [0, pi/4].
+The package's octahedron volume literal is checked three ways: against
+a reference constant to the last bit, an exact-Fraction Euler
+transform of the alternating series 1 - 1/9 + 1/25 - ..., and
+numerical quadrature of -8 * integral of ln(2 sin t) on [0, pi/4].
 """
 
 import json
@@ -29,7 +29,6 @@ from modlink.links import (
     _tower_word,
     build_family,
     census,
-    gamma_sequence,
     v_oct,
     volume_length_table,
 )
@@ -65,7 +64,8 @@ def _catalan_euler_transform() -> float:
 
 
 def test_v_oct_matches_reference_constant():
-    assert v_oct() == pytest.approx(V_OCT_REFERENCE, abs=1e-12)
+    # 4 * Catalan = 3.66386237670887606..., correctly rounded
+    assert v_oct() == V_OCT_REFERENCE
 
 
 def test_v_oct_matches_euler_transform_series():
@@ -192,7 +192,8 @@ def test_block_chart_and_validation():
 
 
 def test_gamma_sequence_words_and_traces():
-    fam = gamma_sequence(5)
+    # the family of 1/n carries the first n words LR, LR(RL), LR(RL)^2, ...
+    fam = build_family(Slope(1, 5))
     assert [r.word.letters for r in fam.orbits] == [
         "LR", "LLRR", "LLRRLR", "LLRRLRLR", "LLRRLRLRLR",
     ]
@@ -200,8 +201,6 @@ def test_gamma_sequence_words_and_traces():
     assert traces[:3] == [3, 6, 15]
     for a, b, c in zip(traces, traces[1:], traces[2:]):
         assert c == 3 * b - a
-    with pytest.raises(ValueError):
-        gamma_sequence(0)
 
 
 def test_tower_word_is_least_rotation_of_lr_rl_power():
@@ -210,7 +209,10 @@ def test_tower_word_is_least_rotation_of_lr_rl_power():
 
 
 def test_gamma_trace_recursion_holds_to_50():
-    traces = [r.trace for r in gamma_sequence(50).orbits]
+    fam = build_family(Slope(1, 50))
+    words = [r.word.letters for r in fam.orbits]
+    assert words == [_tower_word(n) for n in range(1, 51)]
+    traces = [r.trace for r in fam.orbits]
     assert traces[0] == 3 and traces[1] == 6
     for a, b, c in zip(traces, traces[1:], traces[2:]):
         assert c == 3 * b - a

@@ -4,15 +4,16 @@ Independent oracles used here: brute-force minimal rotation (all
 rotations, pick min) against the linear-time routine, an 80-digit
 Decimal evaluation of 2*ln((t + sqrt(t^2 - 4))/2) against the float
 trace-length code on both sides of its big-integer switchover, the
-product of generator matrices against the integer word kernel, and
-sympy's factorint against the Miller-Rabin + Brent rho factorizer.
+product of the generator matrices L and R, multiplied as entry tuples,
+against the integer word kernel, and sympy's factorint against the
+Miller-Rabin + Brent rho factorizer and as the squarefree-part oracle
+for discriminants.
 """
 
 import decimal
 import functools
 import itertools
 import math
-import operator
 
 import pytest
 import sympy
@@ -28,41 +29,41 @@ from modlink.psl2z import (
     MatrixPSL2Z,
     ParabolicError,
     field_discriminant,
-    generator,
     geodesic_length,
     least_rotation,
-    squarefree_part,
     trace_length,
     word_to_matrix,
 )
 
-L, R, U, V = (generator(n) for n in "LRUV")
-I = MatrixPSL2Z.identity()
+U = MatrixPSL2Z(0, -1, 1, 0)  # order two, trace 0
+V = MatrixPSL2Z(0, -1, 1, -1)  # order three, trace 1
+
+_GENERATOR_ENTRIES = {"L": (1, 1, 0, 1), "R": (1, 0, 1, 1)}
+
+
+def _mul(m: tuple, n: tuple) -> tuple:
+    """Product of two 2x2 matrices given as entry tuples (a, b, c, d)."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _entries(m: MatrixPSL2Z) -> tuple:
+    return (m.a, m.b, m.c, m.d)
 
 
 def _generator_product(letters: str) -> MatrixPSL2Z:
     """Reference construction: multiply one generator matrix per letter."""
-    return functools.reduce(operator.mul, map(generator, letters), I)
+    entries = map(_GENERATOR_ENTRIES.__getitem__, letters)
+    return MatrixPSL2Z(*functools.reduce(_mul, entries, (1, 0, 0, 1)))
 
 
-# ------------------------------------------------------------ generators
+def _squarefree_part(n: int) -> int:
+    """Product of the primes dividing n to an odd power, by sympy."""
+    return math.prod(p for p, e in sympy.factorint(n).items() if e % 2)
 
 
-def test_generator_entries():
-    assert (L.a, L.b, L.c, L.d) == (1, 1, 0, 1)
-    assert (R.a, R.b, R.c, R.d) == (1, 0, 1, 1)
-    # U and V are stored with the sign convention for trace <= 0
-    assert (U.a, U.b, U.c, U.d) == (0, 1, -1, 0)
-    assert (V.a, V.b, V.c, V.d) == (0, 1, -1, 1)
-    with pytest.raises(ValueError):
-        generator("X")
-
-
-def test_generator_relations():
-    assert U * U == I
-    assert V * V * V == I
-    assert V * V * U == L
-    assert V * U == R
+# -------------------------------------------------------------- matrices
 
 
 def test_matrix_validation_and_sign_normalization():
@@ -100,7 +101,7 @@ def test_word_products_associate_through_any_split(letters):
     for cut in range(1, len(letters)):
         left = word_to_matrix(letters[:cut])
         right = word_to_matrix(letters[cut:])
-        assert left * right == whole
+        assert MatrixPSL2Z(*_mul(_entries(left), _entries(right))) == whole
 
 
 @given(st.text(alphabet="LR", min_size=1, max_size=300))
@@ -173,13 +174,11 @@ def test_least_rotation_empty_and_single_letters():
 
 def test_cyclic_word_semantics():
     w = GeodesicWord("RLL")
-    assert w == GeodesicWord("LLR") == w.rotated(1)
+    assert w == GeodesicWord("LLR") == GeodesicWord("LRL")
     assert w.canonical().letters == "LLR"
     assert hash(w) == hash(GeodesicWord("LRL"))
     assert len(w) == 3 and str(w) == "RLL"
     assert w != GeodesicWord("LLRR")
-    assert GeodesicWord("LR").is_hyperbolic
-    assert not GeodesicWord("LLL").is_hyperbolic
     with pytest.raises(ValueError):
         GeodesicWord("LRX")
     with pytest.raises(ValueError):
@@ -313,17 +312,6 @@ def test_factorize_matches_sympy(n):
     assert _factorize(n) == sympy.factorint(n)
 
 
-def test_squarefree_part():
-    assert squarefree_part(1) == 1
-    assert squarefree_part(5) == 5
-    assert squarefree_part(32) == 2
-    assert squarefree_part(12) == 3
-    assert squarefree_part(36) == 1
-    assert squarefree_part(221) == 221
-    with pytest.raises(ValueError):
-        squarefree_part(0)
-
-
 def test_field_discriminants_of_worked_classes():
     assert field_discriminant(word_to_matrix("LR")) == 5
     assert field_discriminant(word_to_matrix("LLRR")) == 2
@@ -357,7 +345,7 @@ def test_field_discriminant_matches_direct_factorization():
             t = m.trace()
             if t <= 2:
                 continue
-            assert field_discriminant(m) == squarefree_part(t * t - 4)
+            assert field_discriminant(m) == _squarefree_part(t * t - 4)
 
 
 def test_big_trace_discriminant_uses_split_factorization():
@@ -366,7 +354,7 @@ def test_big_trace_discriminant_uses_split_factorization():
     m = word_to_matrix("LR" + "RL" * 26)
     t = m.trace()
     assert t > 10**11
-    a, b = squarefree_part(t - 2), squarefree_part(t + 2)
+    a, b = _squarefree_part(t - 2), _squarefree_part(t + 2)
     g = math.gcd(a, b)
     assert g in (1, 2)
     assert field_discriminant(m) == a * b // (g * g)
