@@ -169,11 +169,11 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    family = links.build_family(args.slope)
-    if args.json is not None:
-        _write_output(serialize.family_to_json(family) + "\n", args.json)
-    else:
-        sys.stdout.write(serialize.family_text(family))
+    if args.json is None:
+        sys.stdout.write(serialize.family_text(links.build_family(args.slope)))
+        return 0
+    with _output_stream(args.json) as out:
+        out.write(serialize.family_to_json(links.build_family(args.slope)) + "\n")
     return 0
 
 

@@ -235,41 +235,194 @@ def _is_prime(n: int) -> bool:
 # Rho steps per batched gcd; batches of 32 and 512 measured no faster.
 _RHO_BATCH = 128
 
+# Brent cycle length at which rho gives way to ECM, about 2^12 steps in
+# all.  Rho finds a factor p in about sqrt(p) steps, so it keeps the
+# factors below about 2^24, where it is cheaper than a first curve.
+_RHO_MAX_CYCLE = 1 << 10
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n with no tiny divisors.
+
+def _pollard_rho(n: int) -> "int | None":
+    """A nontrivial factor of an odd composite n, or None if rho finds none.
 
     Pollard's rho with Brent's cycle finding (Brent 1980): the
     differences x - y are multiplied together modulo n and one gcd is
     taken per batch of _RHO_BATCH steps.  When a batch product reaches a
-    multiple of n, its steps are replayed one gcd at a time.
+    multiple of n, its steps are replayed one gcd at a time.  The walk
+    stops once its cycle length passes _RHO_MAX_CYCLE.
     """
-    for c in itertools.count(1):
-        y, r, q, g = 2, 1, 1, 1
+    y, r, q, g = 2, 1, 1, 1
+    while g == 1:
+        if r > _RHO_MAX_CYCLE:
+            return None
+        x = y
+        for _ in range(r):
+            y = (y * y + 1) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(_RHO_BATCH, r - k)):
+                y = (y * y + 1) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            k += _RHO_BATCH
+        r *= 2
+    if g == n:
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                k += _RHO_BATCH
-            r *= 2
+            ys = (ys * ys + 1) % n
+            g = math.gcd(x - ys, n)
+    return None if g == n else g
+
+
+# ECM schedule: the first stage-1 bound (even, and above 200 so that
+# stage-2 windows stay narrower than it), the curves run at each bound
+# before it doubles, the doublings before it stays at 614 400 (a plan
+# there takes 50 MB to build and keeps 7 MB), and each stage-2 bound as
+# a multiple of its stage-1 bound.
+_ECM_B1 = 300
+_ECM_CURVES_PER_B1 = 4
+_ECM_DOUBLINGS = 11
+_ECM_B2_RATIO = 50
+
+
+@lru_cache(maxsize=None)
+def _ecm_plan(b1: int) -> "tuple[tuple[int, ...], int, int, tuple[bytes, ...]]":
+    """Stage-1 prime powers, half window d, first window centre and windows.
+
+    Stage 1 multiplies by p^floor(log_p b1) for each prime p <= b1.
+    Stage 2 covers the primes q in (b1, _ECM_B2_RATIO * b1] by windows of
+    width 4d centred on r = r0, r0 + 4d, ...: each q = r +- (2j + 1) with
+    0 <= j < d, and a window's byte j is 1 when r - (2j + 1) or
+    r + (2j + 1) is prime.
+    """
+    b2 = _ECM_B2_RATIO * b1
+    d = math.isqrt(b2) // 2
+    sieve = bytearray([1]) * (b2 + 4 * d)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(len(sieve) - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, len(sieve), p)))
+    powers = []
+    for p in itertools.compress(range(b1 + 1), sieve[:b1 + 1]):
+        power = p
+        while power * p <= b1:
+            power *= p
+        powers.append(power)
+    r0 = b1 + 2 * d
+    windows = []
+    for r in range(r0, b2 + 2 * d, 4 * d):
+        below = int.from_bytes(sieve[r - 1:r - 2 * d:-2], "big")
+        above = int.from_bytes(sieve[r + 1:r + 2 * d:2], "big")
+        windows.append((below | above).to_bytes(d, "big"))
+    return tuple(powers), d, r0, tuple(windows)
+
+
+def _ladder(k: int, x: int, z: int, a24: int, n: int) -> "tuple[int, int]":
+    """(X : Z) of k*P for P = (x : z) on a Montgomery curve mod n, k >= 1.
+
+    The curve is b*y^2 = x^3 + a*x^2 + x with a24 = (a + 2)/4; only X
+    and Z are carried, and the two ladder points always differ by P.
+    """
+    s, t = (x + z) * (x + z) % n, (x - z) * (x - z) % n
+    w = s - t
+    x0, z0 = x, z
+    x1, z1 = s * t % n, w * (t + a24 * w) % n
+    for bit in bin(k)[3:]:
+        p0, m0, p1, m1 = x0 + z0, x0 - z0, x1 + z1, x1 - z1
+        u, v = m0 * p1, p0 * m1
+        xs, zs = u + v, u - v
+        xs, zs = z * xs * xs % n, x * zs * zs % n
+        if bit == "1":
+            s, t = p1 * p1 % n, m1 * m1 % n
+            w = s - t
+            x0, z0 = xs, zs
+            x1, z1 = s * t % n, w * (t + a24 * w) % n
+        else:
+            s, t = p0 * p0 % n, m0 * m0 % n
+            w = s - t
+            x1, z1 = xs, zs
+            x0, z0 = s * t % n, w * (t + a24 * w) % n
+    return x0, z0
+
+
+def _add(p: "tuple[int, int]", q: "tuple[int, int]", diff: "tuple[int, int]",
+         n: int) -> "tuple[int, int]":
+    """(X : Z) of P + Q on a Montgomery curve mod n, given P - Q."""
+    u = (p[0] - p[1]) * (q[0] + q[1])
+    v = (p[0] + p[1]) * (q[0] - q[1])
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
+
+
+def _ecm(n: int) -> int:
+    """A nontrivial factor of a composite n with no factor below 1000.
+
+    Lenstra's elliptic curve method (Ann. Math. 1987) on Montgomery
+    curves with Suyama's parametrisation, sigma = 6, 7, 8, ...
+    (Montgomery, Math. Comp. 1987).  Stage 1 multiplies a starting
+    point by the prime powers of _ecm_plan, giving Q; if every factor of
+    n falls at once, the powers are retaken one at a time.  Stage 2, the
+    standard continuation, multiplies x(rQ)z(sQ) - x(sQ)z(rQ) over the
+    window centres r and odd offsets s = 2j + 1 of _ecm_plan; a factor
+    vanishes modulo p when the order of Q mod p is a prime r +- s.  A
+    curve whose gcd is n is passed over.  The stage-1 bound starts at
+    _ECM_B1 and doubles every _ECM_CURVES_PER_B1 curves, _ECM_DOUBLINGS
+    times at most; every factor is still reached, since each further
+    curve at the last bound has the same chance of finding it.
+    """
+    for curve in itertools.count():
+        doublings = min(curve // _ECM_CURVES_PER_B1, _ECM_DOUBLINGS)
+        powers, d, r0, windows = _ecm_plan(_ECM_B1 << doublings)
+        sigma = 6 + curve
+        u, v = sigma * sigma - 5, 4 * sigma
+        x, z = u**3 % n, v**3 % n
+        try:
+            a24 = pow(v - u, 3, n) * (3 * u + v) * pow(16 * x * v, -1, n) % n
+        except ValueError:
+            g = math.gcd(16 * x * v, n)
+            if g != n:
+                return g
+            continue
+        q = _ladder(math.prod(powers), x, z, a24, n)
+        g = math.gcd(q[1], n)
         if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
+            # every prime factor of n at once: take the powers one by one
+            q = x, z
+            for power in powers:
+                q = _ladder(power, *q, a24, n)
+                g = math.gcd(q[1], n)
+                if g != 1:
+                    break
+        if g != 1:
+            if g != n:
+                return g
+            continue
+        # baby steps: s*Q for the odd s = 2j + 1 < 2d
+        q2 = _ladder(2, *q, a24, n)
+        baby = [q, _add(q2, q, q, n)]
+        for _ in range(2, d):
+            baby.append(_add(baby[-1], q2, baby[-2], n))
+        # giant steps: r*Q for r = r0, r0 + 4d, ..., each from the last two
+        step = _ladder(4 * d, *q, a24, n)
+        prev = _ladder(r0 - 4 * d, *q, a24, n)
+        here = _ladder(r0, *q, a24, n)
+        acc = 1
+        for window in windows:
+            rx, rz = here
+            for bx, bz in itertools.compress(baby, window):
+                acc = acc * (rx * bz - bx * rz) % n
+            # one gcd per window: a window is narrower than b1, so it
+            # meets one multiple at most of a prime order above b1, and
+            # a square p^2 yields p, not p^2
+            g = math.gcd(acc, n)
+            if g != 1:
+                break
+            prev, here = here, _add(here, step, prev, n)
+        if 1 < g < n:
             return g
 
 
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization: trial division, then Pollard rho above 10^6."""
+    """Prime factorization: trial division below 1000, then rho, then ECM."""
     factors: dict[int, int] = {}
     for d in (2, 3, 5):
         while n % d == 0:
@@ -284,13 +437,17 @@ def _factorize(n: int) -> dict[int, int]:
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
+        for p in factors:  # a prime already found may divide m again
+            while m % p == 0:
+                factors[p] += 1
+                m //= p
         if m == 1:
             continue
         if _is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        f = _pollard_rho(m)
-        pending.extend((f, m // f))
+        f = _pollard_rho(m) or _ecm(m)
+        pending.extend((m // f, f))
     return factors
 
 
@@ -304,10 +461,11 @@ def field_discriminant(m: MatrixPSL2Z) -> int:
 
     The eigenvalues (t +- sqrt(t^2 - 4))/2 generate this real quadratic
     field.  Factoring t - 2 and t + 2 separately halves the size of
-    the numbers factored; cost still grows quickly with word length,
-    and no budget bounds it.  Results are memoised per trace in a
-    bounded LRU cache of _DISCRIMINANT_CACHE_SIZE entries, so classes
-    that share a trace are factored once.
+    the numbers factored, each by trial division, Brent's rho and then
+    the elliptic curve method; the cost grows with the second-largest
+    prime factor, and no budget bounds it.  Results are memoised per
+    trace in a bounded LRU cache of _DISCRIMINANT_CACHE_SIZE entries,
+    so classes that share a trace are factored once.
 
     The result is proven only while every cofactor that _is_prime
     accepts lies below 3.3e24, where its fixed Miller-Rabin witnesses

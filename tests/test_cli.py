@@ -302,6 +302,17 @@ def test_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys, argv):
     )
 
 
+def test_unwritable_family_json_fails_before_building(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(links, "build_family", lambda slope: built.append(slope))
+    target = tmp_path / "missing-directory" / "x.json"
+    detail = os.strerror(errno.ENOENT)
+    assert run(capsys, "family", "89/55", "--json", str(target)) == (
+        2, "", f"error: unwritable-output: {target}: {detail}\n"
+    )
+    assert built == []
+
+
 # -------------------------------------------------- domain errors, exit 3
 
 

@@ -5,10 +5,12 @@ helper shared by an oracle and production code is public by name, so
 no module reaches into another's private internals.  The package's
 ``__all__`` lists exactly the names its ``__init__`` imports, and each
 of them is used by some other module of the package, so the package
-carries no API that only the tests call.
+carries no API that only the tests call.  Every import is relative or
+from the standard library, so the package has no runtime dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import modlink
@@ -70,3 +72,26 @@ def test_every_public_name_is_used_by_the_package():
     modules = [path for path in SOURCE.glob("*.py") if path.name != "__init__.py"]
     used = set().union(*map(_names_used, modules))
     assert sorted(set(modlink.__all__) - used) == sorted(_UNUSED_PUBLIC_NAMES)
+
+
+def _absolute_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    return found
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    # sympy and the other test oracles must never become runtime dependencies
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules
+    outside = [
+        f"{path.name} imports {name}"
+        for path in modules
+        for name in _absolute_imports(path)
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []

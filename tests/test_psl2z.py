@@ -6,10 +6,14 @@ Decimal evaluation of 2*ln((t + sqrt(t^2 - 4))/2) against the float
 trace-length code on both sides of its big-integer switchover, the
 product of the generator matrices L and R, multiplied as entry tuples,
 against the integer word kernel, and sympy's factorint against the
-Miller-Rabin + Brent rho factorizer and as the squarefree-part oracle
-for discriminants.
+Miller-Rabin + Brent rho + ECM factorizer and as the squarefree-part
+oracle for discriminants.  Where factorint takes seconds (two prime
+factors of 28 bits or more), the factorization is known by
+construction from primes sympy draws, or checked by multiplying back
+with sympy's isprime on every prime.
 """
 
+import collections
 import decimal
 import functools
 import itertools
@@ -22,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from modlink import psl2z
 from modlink.cutting import slope_to_word
 from modlink.farey import Slope
+from modlink.links import build_family
 from modlink.psl2z import (
     CyclicWord,
     EllipticError,
@@ -310,6 +315,93 @@ def test_factorize_matches_sympy(n):
     from modlink.psl2z import _factorize
 
     assert _factorize(n) == sympy.factorint(n)
+
+
+# primes in [2^28, 2^42], past rho's step cap, where ECM finds them;
+# 2^42 - 11 is the largest prime below 2^42
+_LARGE_PRIMES = st.integers(2**28, 2**42 - 11).map(lambda n: sympy.nextprime(n - 1))
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.one_of(
+        st.tuples(_LARGE_PRIMES, _LARGE_PRIMES).map(list),
+        st.tuples(_LARGE_PRIMES, _LARGE_PRIMES).map(lambda pq: [pq[0], pq[0], pq[1]]),
+    )
+)
+def test_factorize_products_of_large_primes(primes):
+    # sympy draws the primes, so the factorization is known; factorint
+    # itself spends about 0.5 s on each of these numbers
+    from modlink.psl2z import _factorize
+
+    assert _factorize(math.prod(primes)) == collections.Counter(primes)
+
+
+@pytest.mark.parametrize("bits", [31, 36])
+def test_factorize_prime_squares_and_cubes_above_2_30(bits):
+    from modlink.psl2z import _factorize
+
+    p = sympy.prevprime(2**bits)
+    assert _factorize(p**2) == {p: 2}
+    assert _factorize(p**3) == {p: 3}
+    assert _factorize(2 * 7**2 * p**3) == {2: 1, 7: 2, p: 3}
+
+
+# 33 414 406 429 * 72 861 197 861 is t + 2 of the 72-bit trace of 55/34,
+# the hardest number a depth-9 census factors
+_CENSUS_72_BIT = 2434613678231239448369
+
+
+def _checked_factorization(n: int) -> dict:
+    """_factorize(n), checked to be the prime factorization of n.
+
+    The primes must multiply back to n and pass sympy's isprime, which
+    is deterministic below 2^64; by unique factorization this is
+    sympy's factorint, which takes 1.8 s on _CENSUS_72_BIT alone.
+    """
+    from modlink.psl2z import _factorize
+
+    factors = _factorize(n)
+    assert math.prod(p**e for p, e in factors.items()) == n
+    assert [p for p in factors if not sympy.isprime(p)] == []
+    return factors
+
+
+def test_capped_rho_hands_the_72_bit_census_number_to_ecm():
+    n = _CENSUS_72_BIT
+    assert psl2z._pollard_rho(n) is None
+    g = psl2z._ecm(n)
+    assert 1 < g < n and n % g == 0
+    assert _checked_factorization(n) == {33414406429: 1, 72861197861: 1}
+
+
+# t - 2 and t + 2 of the traces of 34/21, 55/34 and 89/55 (44, 72 and
+# 115 bits), the three largest traces of family 89/55
+@pytest.mark.parametrize(
+    "n",
+    [
+        16586334025069,
+        16586334025073,
+        2434613678231239448365,
+        _CENSUS_72_BIT,
+        40381315689150066251526220641224740,
+        40381315689150066251526220641224744,
+    ],
+)
+def test_factorize_hard_family_numbers(n):
+    _checked_factorization(n)
+
+
+def test_family_89_55_discriminants_match_checked_factorizations():
+    family = build_family(Slope(89, 55))
+    assert len(family.orbits) == 10
+    for record in family.orbits:
+        a, b = (
+            math.prod(p for p, e in _checked_factorization(n).items() if e % 2)
+            for n in (record.trace - 2, record.trace + 2)
+        )
+        g = math.gcd(a, b)
+        assert record.discriminant == a * b // (g * g)
 
 
 def test_field_discriminants_of_worked_classes():
