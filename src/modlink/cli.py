@@ -110,11 +110,6 @@ def _output_stream(destination: str):
         yield fh
 
 
-def _write_output(text: str, destination: str) -> None:
-    with _output_stream(destination) as out:
-        out.write(text)
-
-
 def _route_nonnegative(s: Slope) -> Slope:
     """Replace a negative slope by its nonnegative orbit representative."""
     if s.p >= 0:
@@ -186,8 +181,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    report = links.volume_length_table(args.n)
-    _write_output(serialize.report_to_csv(report), args.csv)
+    with _output_stream(args.csv) as out:
+        out.write(serialize.report_to_csv(links.volume_length_table(args.n)))
     return 0
 
 
@@ -203,12 +198,14 @@ def _cmd_length(args) -> int:
 
 
 def _cmd_svg_path(args) -> int:
-    _write_output(figures.farey_disk_svg(farey_path(args.slope)), args.out)
+    with _output_stream(args.out) as out:
+        out.write(figures.farey_disk_svg(farey_path(args.slope)))
     return 0
 
 
 def _cmd_svg_line(args) -> int:
-    _write_output(figures.lattice_line_svg(args.slope), args.out)
+    with _output_stream(args.out) as out:
+        out.write(figures.lattice_line_svg(args.slope))
     return 0
 
 

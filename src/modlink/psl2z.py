@@ -156,26 +156,80 @@ class GeodesicWord(CyclicWord):
     _alphabet = frozenset("LR")
 
 
-def word_to_matrix(word: "GeodesicWord | str") -> MatrixPSL2Z:
-    """Left-to-right product of L = (1 1; 0 1) and R = (1 0; 1 1) over the word.
+# Letters per block of word_to_matrix, and the entry count at which its
+# block memo is cleared: 4096 blocks of 64 letters hold about 1 MB.
+_BLOCK = 64
+_BLOCK_MEMO_CAP = 4096
 
-    The product is accumulated on four plain integers, one column
-    addition per letter (right-multiplying by L adds the first column to
-    the second, by R the second to the first), and normalized once at
-    the end.  Words in positive powers of L and R give matrices with
-    nonnegative entries; the trace depends only on the rotation class.
+# (a, b, c, d) of the product over each block met since the last clear
+_block_matrices: "dict[str, tuple[int, int, int, int]]" = {}
+
+
+def _block_product(block: str) -> "tuple[int, int, int, int]":
+    """Entries of the product over one block, one column addition per letter.
+
+    Right-multiplying by L adds the first column to the second, by R the
+    second to the first.
     """
-    if isinstance(word, str):
-        word = GeodesicWord(word)
     a, b, c, d = 1, 0, 0, 1
-    for ch in word.letters:
+    for ch in block:
         if ch == "L":
             b += a
             d += c
         else:
             a += b
             c += d
-    return MatrixPSL2Z(a, b, c, d)
+    return a, b, c, d
+
+
+def _product(m: "tuple[int, int, int, int]",
+             n: "tuple[int, int, int, int]") -> "tuple[int, int, int, int]":
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def word_to_matrix(word: "GeodesicWord | str") -> MatrixPSL2Z:
+    """Left-to-right product of L = (1 1; 0 1) and R = (1 0; 1 1) over the word.
+
+    The word is cut into blocks of _BLOCK letters.  Each block's entries
+    come from a module-level memo keyed by the block's letters; a miss
+    runs _block_product.  A cutting word is Sturmian, with only k + 1
+    distinct factors of each length k, so a few dozen blocks serve
+    whole families of words.  The memo is cleared when it reaches
+    _BLOCK_MEMO_CAP entries, so it never holds more than about 1 MB.
+
+    The block matrices are multiplied by a balanced product tree:
+    neighbours are paired level by level, an odd last one carried up.
+    Entries grow by at most about 0.7 bits per letter, so the factors
+    that meet at each level have similar sizes, and with CPython's
+    Karatsuba multiplication the tree costs O(n^1.59) for n letters,
+    most of it in the top level.  Adding columns one letter at a time
+    costs O(n^2) instead: n additions of integers as long as the product.
+
+    The entries are normalized once, at the end.  Words in positive
+    powers of L and R give matrices with nonnegative entries; the trace
+    depends only on the rotation class.
+    """
+    if isinstance(word, str):
+        word = GeodesicWord(word)
+    letters = word.letters
+    memo = _block_matrices
+    level = []
+    for start in range(0, len(letters), _BLOCK):
+        block = letters[start:start + _BLOCK]
+        entries = memo.get(block)
+        if entries is None:
+            if len(memo) >= _BLOCK_MEMO_CAP:
+                memo.clear()
+            entries = memo[block] = _block_product(block)
+        level.append(entries)
+    while len(level) > 1:
+        paired = list(map(_product, level[::2], level[1::2]))
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return MatrixPSL2Z(*level[0])
 
 
 def _require_hyperbolic(t: int) -> None:
@@ -421,8 +475,36 @@ def _ecm(n: int) -> int:
             return g
 
 
+def _integer_root(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(m: int) -> "tuple[int, int] | None":
+    """(r, k) with r**k == m and k >= 2, or None; m has no factor below 1000.
+
+    Every prime factor of m is then at least 1009 > 2^9.97, so k is at
+    most m.bit_length() // 10.
+    """
+    for k in range(2, m.bit_length() // 10 + 1):
+        r = _integer_root(m, k)
+        if r**k == m:
+            return r, k
+    return None
+
+
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization: trial division below 1000, then rho, then ECM."""
+    """Prime factorization: trial division below 1000, then rho, then ECM.
+
+    A perfect power is split into its root first.  Rho and ECM cannot
+    split one: on p^2 and p^3 rho can return no factor, and every curve
+    of ECM can meet p^k whole, so that its gcd is n on every curve.
+    """
     factors: dict[int, int] = {}
     for d in (2, 3, 5):
         while n % d == 0:
@@ -445,6 +527,11 @@ def _factorize(n: int) -> dict[int, int]:
             continue
         if _is_prime(m):
             factors[m] = factors.get(m, 0) + 1
+            continue
+        power = _perfect_power(m)
+        if power is not None:
+            root, k = power
+            pending.extend([root] * k)
             continue
         f = _pollard_rho(m) or _ecm(m)
         pending.extend((m // f, f))

@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from modlink import cli, links, psl2z
+from modlink import cli, figures, links, psl2z
 from modlink.cli import main
 from modlink.psl2z import least_rotation
 
@@ -302,15 +302,27 @@ def test_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys, argv):
     )
 
 
-def test_unwritable_family_json_fails_before_building(tmp_path, capsys, monkeypatch):
-    built = []
-    monkeypatch.setattr(links, "build_family", lambda slope: built.append(slope))
-    target = tmp_path / "missing-directory" / "x.json"
+@pytest.mark.parametrize(
+    "argv, module, compute",
+    [
+        (("family", "89/55", "--json"), links, "build_family"),
+        (("table", "--n", "1600", "--csv"), links, "volume_length_table"),
+        (("svg-path", "89/55", "--out"), figures, "farey_disk_svg"),
+        (("svg-line", "89/55", "--out"), figures, "lattice_line_svg"),
+    ],
+    ids=["family-json", "table-csv", "svg-path-out", "svg-line-out"],
+)
+def test_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypatch,
+                                                  argv, module, compute):
+    def refuse(*args):
+        raise AssertionError(f"{compute} ran before the output was opened")
+
+    monkeypatch.setattr(module, compute, refuse)
+    target = tmp_path / "missing-directory" / "out"
     detail = os.strerror(errno.ENOENT)
-    assert run(capsys, "family", "89/55", "--json", str(target)) == (
+    assert run(capsys, *argv, str(target)) == (
         2, "", f"error: unwritable-output: {target}: {detail}\n"
     )
-    assert built == []
 
 
 # -------------------------------------------------- domain errors, exit 3

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from modlink import psl2z
 from modlink.cutting import slope_to_word
 from modlink.farey import Slope
-from modlink.links import build_family
+from modlink.links import _tower_word, build_family
 from modlink.psl2z import (
     CyclicWord,
     EllipticError,
@@ -109,9 +109,68 @@ def test_word_products_associate_through_any_split(letters):
         assert MatrixPSL2Z(*_mul(_entries(left), _entries(right))) == whole
 
 
-@given(st.text(alphabet="LR", min_size=1, max_size=300))
+def _words_of_length(n: int):
+    return st.text(alphabet="LR", min_size=n, max_size=n)
+
+
+# lengths 1-700, with the block edges 64k - 1, 64k and 64k + 1 drawn often
+_WORD_LENGTHS = st.one_of(
+    st.integers(1, 700),
+    st.builds(lambda k, e: 64 * k + e, st.integers(1, 10), st.sampled_from((-1, 0, 1))),
+)
+
+
+@given(_WORD_LENGTHS.flatmap(_words_of_length))
 def test_word_to_matrix_matches_generator_product(letters):
     assert word_to_matrix(letters) == _generator_product(letters)
+
+
+@given(
+    st.integers(1, 70).flatmap(_words_of_length),
+    st.integers(200, 700),
+)
+def test_word_to_matrix_on_periodic_words(period, length):
+    # repeated blocks are served from the block memo
+    letters = (period * (length // len(period) + 1))[:length]
+    assert word_to_matrix(letters) == _generator_product(letters)
+
+
+def test_block_memo_is_cleared_at_its_cap():
+    # 5000 distinct blocks, the binary spellings of 0..4999 in L and R,
+    # eight to a word: the memo passes its cap and must be cleared
+    cap = psl2z._BLOCK_MEMO_CAP
+    blocks = [format(i, "064b").translate({48: "L", 49: "R"}) for i in range(5000)]
+    assert len(set(blocks)) > cap and {len(b) for b in blocks} == {psl2z._BLOCK}
+    sizes = []
+    for start in range(0, len(blocks), 8):
+        letters = "".join(blocks[start:start + 8])
+        assert word_to_matrix(letters) == _generator_product(letters)
+        sizes.append(len(psl2z._block_matrices))
+    assert max(sizes) <= cap
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+
+def _matrix_power(m: tuple, k: int) -> tuple:
+    """m^k of an entry tuple by repeated squaring."""
+    result = (1, 0, 0, 1)
+    while k:
+        if k & 1:
+            result = _mul(result, m)
+        m = _mul(m, m)
+        k >>= 1
+    return result
+
+
+def test_long_tower_word_trace_by_repeated_squaring():
+    # 200 000 letters: a product taken one letter at a time is quadratic
+    # in the length and takes about 1 s with Python 3.11, the block tree
+    # about 0.1 s
+    n = 100_000
+    letters = _tower_word(n)
+    assert len(letters) == 2 * n
+    llrr = _entries(_generator_product("LLRR"))
+    a, _, _, d = _mul(llrr, _matrix_power(_entries(_generator_product("LR")), n - 2))
+    assert word_to_matrix(letters).trace() == a + d
 
 
 def test_word_to_matrix_matches_generator_product_on_a_long_word():
@@ -345,6 +404,17 @@ def test_factorize_prime_squares_and_cubes_above_2_30(bits):
     assert _factorize(p**2) == {p: 2}
     assert _factorize(p**3) == {p: 3}
     assert _factorize(2 * 7**2 * p**3) == {2: 1, 7: 2, p: 3}
+
+
+def test_factorize_squares_and_cubes_of_primes_from_1009_to_5000():
+    # among them 1249^2, 1277^2, 1249^3 and 1277^3, where rho finds no
+    # factor and every ECM curve's gcd is n: only a perfect-power split
+    # factors them
+    from modlink.psl2z import _factorize
+
+    for p in sympy.primerange(1009, 5001):
+        assert _factorize(p**2) == {p: 2}, p
+        assert _factorize(p**3) == {p: 3}, p
 
 
 # 33 414 406 429 * 72 861 197 861 is t + 2 of the 72-bit trace of 55/34,
