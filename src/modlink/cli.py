@@ -24,6 +24,7 @@ from .cutting import (
     ab_sequence_geometric,
     continued_fraction,
     lr_geometric_oracle,
+    require_positive,
     slope_to_word,
 )
 from .farey import (
@@ -34,6 +35,7 @@ from .farey import (
     Slope,
     farey_path,
     nonnegative_representative,
+    require_nonnegative,
     v_orbit,
 )
 from .psl2z import (
@@ -98,7 +100,11 @@ def _positive_int(text: str) -> int:
 
 @contextlib.contextmanager
 def _output_stream(destination: str):
-    """Stdout for '-', otherwise the named file opened for writing."""
+    """Stdout for '-', otherwise the named file opened for writing.
+
+    Opening truncates the file, so a command checks its input's domain
+    before it opens its output: a domain error leaves the file as it was.
+    """
     if destination == "-":
         yield sys.stdout
         return
@@ -167,6 +173,7 @@ def _cmd_family(args) -> int:
     if args.json is None:
         sys.stdout.write(serialize.family_text(links.build_family(args.slope)))
         return 0
+    require_nonnegative(args.slope)
     with _output_stream(args.json) as out:
         out.write(serialize.family_to_json(links.build_family(args.slope)) + "\n")
     return 0
@@ -198,12 +205,14 @@ def _cmd_length(args) -> int:
 
 
 def _cmd_svg_path(args) -> int:
+    require_nonnegative(args.slope)
     with _output_stream(args.out) as out:
         out.write(figures.farey_disk_svg(farey_path(args.slope)))
     return 0
 
 
 def _cmd_svg_line(args) -> int:
+    require_positive(args.slope)
     with _output_stream(args.out) as out:
         out.write(figures.lattice_line_svg(args.slope))
     return 0

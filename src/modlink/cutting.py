@@ -46,7 +46,8 @@ class ABWord(CyclicWord):
     _alphabet = frozenset("AB")
 
 
-def _require_positive(s: Slope) -> None:
+def require_positive(s: Slope) -> None:
+    """Raise UnsupportedSlopeError unless s = p/q with p, q >= 1."""
     if s.is_infinity or s.p <= 0:
         raise UnsupportedSlopeError(f"cutting sequence needs p, q >= 1, got {s}")
 
@@ -63,7 +64,7 @@ def ab_sequence(s: Slope) -> ABWord:
     (Berstel, Lauve, Reutenauer and Saliola, *Combinatorics on Words:
     Christoffel Words and Repetitions in Words*).
     """
-    _require_positive(s)
+    require_positive(s)
     *head, last = continued_fraction(s)
     left, right = "A", "B"
     for i, a in enumerate((*head, last - 1)):
@@ -96,7 +97,7 @@ def ab_sequence_geometric(s: Slope) -> ABWord:
     lexicographically realizes the infinitesimal offset symbolically.
     At the lattice corner this puts B just before A.
     """
-    _require_positive(s)
+    require_positive(s)
     return ABWord("".join(letter for _, letter in ab_events(s.p, s.q)))
 
 
@@ -186,7 +187,7 @@ def lr_geometric_oracle(s: Slope) -> GeodesicWord:
     above every lattice point).  This calibration gives slope 1/1 the
     word LR.
     """
-    _require_positive(s)
+    require_positive(s)
     p, q = s.p, s.q
     events = lr_events(p, q)
     n = p + q + abs(p - q)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import total_ordering
-from typing import Iterable
+from functools import cached_property, total_ordering
+from typing import Iterable, Iterator
 
 
 # The one slope grammar: ASCII digits with an optional sign on each side.
@@ -121,6 +121,12 @@ def v_orbit(s: Slope) -> frozenset[Slope]:
     return frozenset((s, t, v_rotate(t)))
 
 
+def require_nonnegative(s: Slope) -> None:
+    """Raise NegativeSlopeError when s < 0; 1/0 counts as nonnegative."""
+    if s.p < 0:
+        raise NegativeSlopeError(f"no Farey path to negative slope {s}")
+
+
 def nonnegative_representative(s: Slope) -> Slope:
     """Least member of v_orbit(s) with p >= 0.  Every orbit has one."""
     return min(t for t in v_orbit(s) if t.p >= 0)
@@ -160,20 +166,48 @@ class FareyPath:
     Consecutive triangles share an edge; each step introduces exactly one
     new vertex (the mediant of the shared edge), recorded in order in
     ``new_vertices``.  ``x`` counts triangles, so the path visits 2 + x
-    distinct slopes.
+    distinct slopes.  The triangles themselves are built, and each one
+    checked, only when ``triangles`` is first read.
     """
 
-    triangles: tuple[FareyTriangle, ...]
     target: Slope
     new_vertices: tuple[Slope, ...]
 
     @property
     def x(self) -> int:
-        return len(self.triangles)
+        return len(self.new_vertices) + 1
+
+    @cached_property
+    def triangles(self) -> tuple[FareyTriangle, ...]:
+        """The x triangles of the path in order, the base triangle first."""
+        return (base_triangle(),) + tuple(
+            FareyTriangle(step) for step in _descent(self.target)
+        )
 
     def slopes(self) -> tuple[Slope, ...]:
         """All distinct vertex slopes, in order of first appearance."""
         return (ZERO, ONE, INFINITY) + self.new_vertices
+
+
+def _descent(target: Slope) -> Iterator[tuple[Slope, Slope, Slope]]:
+    """Each step (lo, mediant, hi) of the mediant descent to a nonnegative target.
+
+    Every step checks that lo and hi are Farey neighbours.  All mediants
+    lie on the target's side of 1/1; targets on the base triangle take
+    no step.
+    """
+    if target in (ZERO, ONE, INFINITY):
+        return
+    lo, hi = (ZERO, ONE) if target < ONE else (ONE, INFINITY)
+    while True:
+        m = mediant(lo, hi)
+        yield lo, m, hi
+        if m == target:
+            return
+        if target < m:
+            hi = m
+        else:
+            lo = m
 
 
 def farey_path(target: Slope) -> FareyPath:
@@ -181,35 +215,23 @@ def farey_path(target: Slope) -> FareyPath:
 
     The dual graph of the tessellation is a tree, so the shortest path is
     unique; it is produced directly by mediant (continued-fraction)
-    descent.  Targets already on the base triangle give the one-triangle
-    path.
+    descent, which checks each edge it splits.  Only the new vertices
+    are kept; the triangles follow on demand.  Targets already on the
+    base triangle give the one-triangle path.
     """
-    if target.p < 0:
-        raise NegativeSlopeError(f"no Farey path to negative slope {target}")
-    triangles = [base_triangle()]
-    new_vertices: list[Slope] = []
-    if target not in triangles[0]:
-        lo, hi = (ZERO, ONE) if target < ONE else (ONE, INFINITY)
-        while True:
-            m = mediant(lo, hi)
-            triangles.append(FareyTriangle((lo, m, hi)))
-            new_vertices.append(m)
-            if m == target:
-                break
-            if target < m:
-                hi = m
-            else:
-                lo = m
-    return FareyPath(tuple(triangles), target, tuple(new_vertices))
+    require_nonnegative(target)
+    return FareyPath(target, tuple(m for _, m, _ in _descent(target)))
 
 
 def order_as_farey_chain(slopes: Iterable[Slope]) -> list[Slope]:
     """Sort slopes ascending and verify cyclic consecutive neighbourliness.
 
     The last slope (1/0 when present) must also neighbour the first.
-    Raises NotAChainError naming the first failing pair.
+    Duplicates are dropped.  Raises NotAChainError naming the first
+    failing pair.  Input already in ascending order costs one comparison
+    per slope.
     """
-    chain = sorted(set(slopes))
+    chain = sorted(dict.fromkeys(slopes))
     if len(chain) < 2:
         raise ValueError("a Farey chain needs at least two distinct slopes")
     for a, b in zip(chain, chain[1:] + chain[:1]):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .cutting import UnsupportedSlopeError, ab_events, lr_events, lr_geometric_oracle
+from .cutting import ab_events, lr_events, lr_geometric_oracle, require_positive
 from .farey import FareyPath, FareyTriangle, Slope, base_triangle
 
 
@@ -122,8 +122,7 @@ def lattice_line_svg(s: Slope) -> str:
     triangle gets its L/R letter midway between consecutive crossings
     (class "lr-label").
     """
-    if s.is_infinity or s.p <= 0:
-        raise UnsupportedSlopeError(f"lattice figure needs p, q >= 1, got {s}")
+    require_positive(s)
     p, q = s.p, s.q
     scale = 90.0
     margin = 55.0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .cutting import slope_to_word
@@ -28,7 +29,7 @@ from .farey import (
     is_farey_neighbour,
     mediant,
     order_as_farey_chain,
-    v_orbit,
+    v_rotate,
 )
 from .psl2z import (
     GeodesicWord,
@@ -101,10 +102,17 @@ class LinkFamily:
     path: FareyPath
     slopes: tuple[Slope, ...]
     orbits: tuple[OrbitRecord, ...]
-    blocks: tuple[OctahedralBlock, ...]
     counts: OctahedronCounts
     volume_modular: float
     total_length: float
+
+    @cached_property
+    def blocks(self) -> tuple[OctahedralBlock, ...]:
+        """One octahedral block per cyclic chain edge, each checked as it is built."""
+        chain = self.slopes
+        return tuple(
+            OctahedralBlock(a, b) for a, b in zip(chain, chain[1:] + chain[:1])
+        )
 
     @property
     def x(self) -> int:
@@ -122,37 +130,70 @@ class LinkFamily:
         return self.volume_modular / math.sqrt(self.total_length)
 
 
+@lru_cache(maxsize=4096)
+def _representative_word(rep: Slope) -> GeodesicWord:
+    """slope_to_word, memoised: a census meets each representative in many families."""
+    return slope_to_word(rep)
+
+
+def _family_slopes(
+    path: FareyPath,
+) -> tuple[tuple[Slope, ...], list[tuple[Slope, Slope, Slope]]]:
+    """The 3x slopes of a path's family as a Farey chain, and each orbit's slopes.
+
+    Both are read off the descent.  The new vertices all lie on the
+    target's side of 1/1, and the rotation V maps (0, 1) -> (1, oo) ->
+    (-oo, 0) -> (0, 1) preserving order, so the sorted vertices and their
+    two images, with 0/1, 1/1 and 1/0 between them, come out ascending.
+    order_as_farey_chain still checks that order and every cyclic
+    neighbour pair, and the chain must hold exactly 3x distinct slopes,
+    so the x orbits are disjoint.  Orbits come in representative order,
+    1/1 first, each sorted ascending.
+    """
+    reps = path.new_vertices
+    turns = [v_rotate(r) for r in reps]
+    turns2 = [v_rotate(t) for t in turns]
+    order = sorted(range(len(reps)), key=reps.__getitem__)
+    arc, arc1, arc2 = ([seq[i] for i in order] for seq in (reps, turns, turns2))
+    if path.target < ONE:
+        chain = arc2 + [ZERO] + arc + [ONE] + arc1 + [INFINITY]
+        orbits = zip(turns2, reps, turns)
+    else:
+        chain = arc1 + [ZERO] + arc2 + [ONE] + arc + [INFINITY]
+        orbits = zip(turns, turns2, reps)
+    chain = order_as_farey_chain(chain)
+    if len(chain) != 3 * path.x:
+        raise RuntimeError(
+            f"rotation closure of {path.target} has {len(chain)} slopes,"
+            f" expected {3 * path.x}"
+        )
+    return tuple(chain), [(ZERO, ONE, INFINITY), *orbits]
+
+
 def build_family(target: Slope) -> LinkFamily:
     """Construct the link family of a nonnegative target slope.
 
     Takes the Farey path to the target and the rotation orbits of its x
     representatives (1/1, whose orbit holds the base triangle, then one
-    per new path vertex).  Their union must have exactly 3x slopes, so
-    the x orbits of at most three slopes are disjoint; as a union of
-    orbits it is invariant under the order-three rotation, and sorted it
-    must form a cyclic Farey chain.  The octahedral blocks, counts and
-    volumes follow.
+    per new path vertex).  The chain of their 3x slopes, and each
+    orbit's slopes, are read off the mediant descent in one linear pass
+    (_family_slopes), which still checks the chain's order, its cyclic
+    neighbour pairs and its size.  Each orbit gets its word, trace,
+    length and field; the octahedral blocks are built, and checked, only
+    when read.  The counts and volumes follow.
     """
     path = farey_path(target)
     x = path.x
-
-    representatives = (ONE,) + path.new_vertices
-    rep_orbits = [v_orbit(rep) for rep in representatives]
-    closure = frozenset().union(*rep_orbits)
-    if len(closure) != 3 * x:
-        raise RuntimeError(
-            f"rotation closure of {target} has {len(closure)} slopes, expected {3 * x}"
-        )
-    chain = order_as_farey_chain(closure)
+    chain, orbit_slopes = _family_slopes(path)
 
     orbits = []
-    for rep, orbit in zip(representatives, rep_orbits):
-        word = slope_to_word(rep)
+    for rep, slopes in zip((ONE,) + path.new_vertices, orbit_slopes):
+        word = _representative_word(rep)
         matrix = word_to_matrix(word)
         orbits.append(
             OrbitRecord(
                 representative=rep,
-                slopes=tuple(sorted(orbit)),
+                slopes=slopes,
                 word=word,
                 trace=matrix.trace(),
                 length=geodesic_length(matrix),
@@ -160,16 +201,11 @@ def build_family(target: Slope) -> LinkFamily:
             )
         )
 
-    blocks = tuple(
-        OctahedralBlock(chain[i], chain[(i + 1) % len(chain)])
-        for i in range(len(chain))
-    )
     return LinkFamily(
         target=target,
         path=path,
-        slopes=tuple(chain),
+        slopes=chain,
         orbits=tuple(orbits),
-        blocks=blocks,
         counts=OctahedronCounts(modular=x, ut_single=3 * x, ut_both=6 * x),
         volume_modular=x * v_oct(),
         total_length=sum(r.length for r in orbits),

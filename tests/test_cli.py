@@ -8,6 +8,7 @@ readable.
 """
 
 import errno
+import hashlib
 import io
 import json
 import os
@@ -228,6 +229,24 @@ def test_outputs_are_deterministic(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, md5",
+    [
+        (("census", "--max-x", "7"), "8a10857b5d456e4c2a9570724c9b4c2c"),
+        (("census", "--max-x", "7", "--dedupe-mirror"),
+         "c673c8e15b4a771c43a81933ae3759da"),
+        (("family", "21/13", "--json", "-"), "eb4901556cf98e4226abe2cd46231309"),
+        (("family", "21/13"), "85e7494786879b9db094c28d15a999fc"),
+        (("table", "--n", "200"), "9fa2b36579594bb378c2238fbe29a8e2"),
+    ],
+    ids=["census-7", "census-7-dedupe", "family-json", "family-text", "table-200"],
+)
+def test_outputs_are_byte_identical_to_the_pinned_digests(capsys, argv, md5):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
 def test_cutting_output_slopes_reparse(capsys):
     _, out, _ = run(capsys, "cutting", "5/3")
     slope_line = out.splitlines()[0]
@@ -326,6 +345,30 @@ def test_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypatch,
 
 
 # -------------------------------------------------- domain errors, exit 3
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
+@pytest.mark.parametrize(
+    "argv, slug",
+    [
+        (("family", "-2/1", "--json"), "negative-slope"),
+        (("svg-path", "-1/2", "--out"), "negative-slope"),
+        (("svg-line", "1/0", "--out"), "unsupported-slope"),
+    ],
+    ids=["family-json", "svg-path-out", "svg-line-out"],
+)
+def test_domain_error_leaves_the_output_file_alone(tmp_path, capsys, argv, slug,
+                                                   existing):
+    target = tmp_path / "out"
+    if existing:
+        target.write_bytes(b"kept\n")
+    code, out, err = run(capsys, *argv, str(target))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {slug}: ")
+    if existing:
+        assert target.read_bytes() == b"kept\n"
+    else:
+        assert not target.exists()
 
 
 @pytest.mark.parametrize(

@@ -113,7 +113,10 @@ def _reduced_pairs(bound: int):
 def test_farey_path_matches_bfs_oracle_up_to_40():
     for p, q in _reduced_pairs(40):
         path = farey_path(Slope(p, q))
+        # the triangles are built only when first read, then kept
+        assert "triangles" not in vars(path)
         assert [_as_key(t) for t in path.triangles] == bfs_farey_path(p, q)
+        assert path.triangles is path.triangles
 
 
 def test_path_x_equals_continued_fraction_digit_sum():

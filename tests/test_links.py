@@ -12,7 +12,10 @@ from fractions import Fraction
 from itertools import groupby
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from modlink import links
+from modlink.cutting import slope_to_word
 from modlink.farey import (
     INFINITY,
     ONE,
@@ -21,11 +24,14 @@ from modlink.farey import (
     NotNeighboursError,
     Slope,
     farey_path,
+    order_as_farey_chain,
+    v_orbit,
     v_rotate,
 )
 from modlink.links import (
     LinkFamily,
     OctahedralBlock,
+    _family_slopes,
     _tower_word,
     build_family,
     census,
@@ -174,6 +180,53 @@ def test_family_invariants_for_small_targets():
     ]
     for target in targets:
         _family_invariants(build_family(target))
+
+
+def _closure_oracle(path) -> tuple[list[Slope], list[tuple[Slope, ...]]]:
+    """The slow construction: sort the rotation closure into chain and orbits."""
+    reps = (ONE,) + path.new_vertices
+    closure = frozenset().union(*(v_orbit(rep) for rep in reps))
+    return order_as_farey_chain(closure), [tuple(sorted(v_orbit(rep))) for rep in reps]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 5000), st.integers(0, 5000))
+@example(0, 1)
+@example(1, 1)
+@example(1, 0)
+@example(1, 5000)
+@example(5000, 1)
+def test_family_slopes_read_off_the_descent_match_the_closure_oracle(p, q):
+    assume(math.gcd(p, q) == 1)
+    path = farey_path(Slope(p, q))
+    chain, orbit_slopes = _family_slopes(path)
+    assert (list(chain), orbit_slopes) == _closure_oracle(path)
+
+
+def test_census_families_match_the_closure_oracle_to_depth_8():
+    for family in census(8):
+        chain, orbit_slopes = _closure_oracle(family.path)
+        assert list(family.slopes) == chain
+        assert [record.slopes for record in family.orbits] == orbit_slopes
+        assert "blocks" not in vars(family)  # built only when first read
+        assert family.blocks == tuple(
+            OctahedralBlock(chain[i], chain[(i + 1) % len(chain)])
+            for i in range(len(chain))
+        )
+
+
+def test_census_builds_one_word_per_representative(monkeypatch):
+    built = []
+
+    def counting_slope_to_word(s):
+        built.append(s)
+        return slope_to_word(s)
+
+    monkeypatch.setattr(links, "slope_to_word", counting_slope_to_word)
+    links._representative_word.cache_clear()
+    families = list(census(5))
+    assert sum(f.x for f in families) == 129
+    assert len(built) == len(set(built)) == 2**5 - 1
 
 
 # ---------------------------------------------------------------- blocks
