@@ -40,10 +40,8 @@ from .farey import (
 )
 from .links import (
     LinkFamily,
-    OctahedralBlock,
     OctahedronCounts,
     OrbitRecord,
-    VolumeReport,
     VolumeRow,
     build_family,
     census,
@@ -78,14 +76,12 @@ __all__ = [
     "NotAChainError",
     "NotHyperbolicError",
     "NotNeighboursError",
-    "OctahedralBlock",
     "OctahedronCounts",
     "ONE",
     "OrbitRecord",
     "ParabolicError",
     "Slope",
     "UnsupportedSlopeError",
-    "VolumeReport",
     "VolumeRow",
     "ZERO",
     "ab_sequence",

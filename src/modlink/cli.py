@@ -28,11 +28,11 @@ from .cutting import (
     slope_to_word,
 )
 from .farey import (
-    SLOPE_PATTERN,
     NegativeSlopeError,
     NotAChainError,
     NotNeighboursError,
     Slope,
+    UndefinedSlopeError,
     farey_path,
     nonnegative_representative,
     require_nonnegative,
@@ -72,20 +72,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _slope_arg(text: str) -> Slope:
-    if not SLOPE_PATTERN.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"malformed-slope: {text!r} is not 'p/q'")
-    num, den = text.split("/")
-    if int(num) == 0 and int(den) == 0:
-        raise DomainInputError("undefined-slope: 0/0")
-    return Slope(int(num), int(den))
+    try:
+        return Slope.parse(text)
+    except UndefinedSlopeError:
+        raise DomainInputError("undefined-slope: 0/0") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"malformed-slope: {text!r} is not 'p/q'"
+        ) from None
 
 
 def _word_arg(text: str) -> GeodesicWord:
-    if not text or set(text) - {"L", "R"}:
+    try:
+        return GeodesicWord(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"malformed-word: {text!r} is not a nonempty word over L, R"
-        )
-    return GeodesicWord(text)
+        ) from None
 
 
 def _positive_int(text: str) -> int:

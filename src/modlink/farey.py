@@ -25,6 +25,10 @@ class NotNeighboursError(ValueError):
     """The two slopes do not span an edge of the Farey tessellation."""
 
 
+class UndefinedSlopeError(ValueError):
+    """0/0 names no slope."""
+
+
 class NegativeSlopeError(ValueError):
     """Operation is defined only for nonnegative slopes (or 1/0)."""
 
@@ -53,7 +57,7 @@ class Slope:
     def __post_init__(self):
         p, q = self.p, self.q
         if p == 0 and q == 0:
-            raise ValueError("slope 0/0 is not defined")
+            raise UndefinedSlopeError("slope 0/0 is not defined")
         if q == 0:
             p = 1
         else:
@@ -67,11 +71,14 @@ class Slope:
 
     @classmethod
     def parse(cls, text: str) -> "Slope":
-        """Parse 'p/q' (SLOPE_PATTERN, outer whitespace ignored), e.g. '-2/1'."""
-        stripped = text.strip()
-        if not SLOPE_PATTERN.fullmatch(stripped):
+        """Parse 'p/q' (SLOPE_PATTERN, no whitespace), e.g. '-2/1'.
+
+        Raises UndefinedSlopeError on 0/0 and ValueError on any other
+        string outside the grammar.
+        """
+        if not SLOPE_PATTERN.fullmatch(text):
             raise ValueError(f"malformed slope {text!r}: expected 'p/q'")
-        num, den = stripped.split("/")
+        num, den = text.split("/")
         return cls(int(num), int(den))
 
     @property
@@ -147,12 +154,6 @@ class FareyTriangle:
             if not is_farey_neighbour(a, b):
                 raise NotNeighboursError(f"{a} and {b} are not Farey neighbours")
         object.__setattr__(self, "vertices", vs)
-
-    def __contains__(self, s: Slope) -> bool:
-        return s in self.vertices
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(v) for v in self.vertices) + ")"
 
 
 def base_triangle() -> FareyTriangle:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator
 
 from .cutting import slope_to_word
@@ -23,10 +23,8 @@ from .farey import (
     ONE,
     ZERO,
     FareyPath,
-    NotNeighboursError,
     Slope,
     farey_path,
-    is_farey_neighbour,
     mediant,
     order_as_farey_chain,
     v_rotate,
@@ -50,32 +48,6 @@ def v_oct() -> float:
 
 
 @dataclass(frozen=True)
-class OctahedralBlock:
-    """One octahedron of the decomposition, spanning a chain edge.
-
-    The chart matrix has the bottom and top slopes as integer columns;
-    its determinant is +-1 because the two slopes are Farey neighbours.
-    """
-
-    bottom: Slope
-    top: Slope
-
-    def __post_init__(self):
-        if not is_farey_neighbour(self.bottom, self.top):
-            raise NotNeighboursError(
-                f"block edge {self.bottom}, {self.top} is not a Farey edge"
-            )
-
-    @property
-    def chart(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.bottom.p, self.top.p), (self.bottom.q, self.top.q))
-
-    @property
-    def chart_det(self) -> int:
-        return self.bottom.p * self.top.q - self.bottom.q * self.top.p
-
-
-@dataclass(frozen=True)
 class OrbitRecord:
     """A rotation orbit of slopes and its geodesic invariants."""
 
@@ -96,28 +68,41 @@ class OctahedronCounts:
 
 @dataclass(frozen=True)
 class LinkFamily:
-    """Full record of the link family determined by one target slope."""
+    """The link family determined by one target slope.
 
-    target: Slope
+    Only the path, the 3x-slope chain and the x orbit records are stored;
+    the octahedron counts and the volumes follow from x, and the total
+    length from the orbits.
+    """
+
     path: FareyPath
     slopes: tuple[Slope, ...]
     orbits: tuple[OrbitRecord, ...]
-    counts: OctahedronCounts
-    volume_modular: float
-    total_length: float
 
-    @cached_property
-    def blocks(self) -> tuple[OctahedralBlock, ...]:
-        """One octahedral block per cyclic chain edge, each checked as it is built."""
-        chain = self.slopes
-        return tuple(
-            OctahedralBlock(a, b) for a, b in zip(chain, chain[1:] + chain[:1])
-        )
+    @property
+    def target(self) -> Slope:
+        return self.path.target
 
     @property
     def x(self) -> int:
         """Triangles in the Farey path, which is also the orbit count."""
         return self.path.x
+
+    @property
+    def counts(self) -> OctahedronCounts:
+        """x octahedra in the quotient, 3x and 6x in the two covers."""
+        x = self.x
+        return OctahedronCounts(modular=x, ut_single=3 * x, ut_both=6 * x)
+
+    @property
+    def volume_modular(self) -> float:
+        """x * v_oct, the volume of the quotient."""
+        return self.x * v_oct()
+
+    @property
+    def total_length(self) -> float:
+        """Sum of the orbits' geodesic lengths, in orbit order."""
+        return sum(r.length for r in self.orbits)
 
     @property
     def volume_alternative(self) -> float:
@@ -179,11 +164,9 @@ def build_family(target: Slope) -> LinkFamily:
     orbit's slopes, are read off the mediant descent in one linear pass
     (_family_slopes), which still checks the chain's order, its cyclic
     neighbour pairs and its size.  Each orbit gets its word, trace,
-    length and field; the octahedral blocks are built, and checked, only
-    when read.  The counts and volumes follow.
+    length and field.
     """
     path = farey_path(target)
-    x = path.x
     chain, orbit_slopes = _family_slopes(path)
 
     orbits = []
@@ -201,15 +184,7 @@ def build_family(target: Slope) -> LinkFamily:
             )
         )
 
-    return LinkFamily(
-        target=target,
-        path=path,
-        slopes=chain,
-        orbits=tuple(orbits),
-        counts=OctahedronCounts(modular=x, ut_single=3 * x, ut_both=6 * x),
-        volume_modular=x * v_oct(),
-        total_length=sum(r.length for r in orbits),
-    )
+    return LinkFamily(path=path, slopes=chain, orbits=tuple(orbits))
 
 
 def _tower_word(n: int) -> str:
@@ -219,26 +194,29 @@ def _tower_word(n: int) -> str:
 
 @dataclass(frozen=True)
 class VolumeRow:
+    """Row n of the tower: the n-th word, and the n octahedra of the family of 1/n."""
+
     n: int
     word: GeodesicWord
     trace: int
     length: float
     cumulative_length: float
-    octahedra: int
-    volume: float
-    volume_alternative: float
-    ratio: float
+
+    @property
+    def volume(self) -> float:
+        return self.n * v_oct()
+
+    @property
+    def volume_alternative(self) -> float:
+        return self.volume / 2
+
+    @property
+    def ratio(self) -> float:
+        """volume / sqrt(cumulative geodesic length)."""
+        return self.volume / math.sqrt(self.cumulative_length)
 
 
-@dataclass(frozen=True)
-class VolumeReport:
-    """Volume versus cumulative geodesic length for the tower of families."""
-
-    rows: tuple[VolumeRow, ...]
-    v_oct: float
-
-
-def volume_length_table(n_max: int) -> VolumeReport:
+def volume_length_table(n_max: int) -> tuple[VolumeRow, ...]:
     """Rows n = 1..n_max of trace, length, volume and volume/sqrt(length)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -249,7 +227,6 @@ def volume_length_table(n_max: int) -> VolumeReport:
         matrix = word_to_matrix(word)
         length = geodesic_length(matrix)
         cumulative += length
-        volume = n * v_oct()
         rows.append(
             VolumeRow(
                 n=n,
@@ -257,13 +234,9 @@ def volume_length_table(n_max: int) -> VolumeReport:
                 trace=matrix.trace(),
                 length=length,
                 cumulative_length=cumulative,
-                octahedra=n,
-                volume=volume,
-                volume_alternative=volume / 2,
-                ratio=volume / math.sqrt(cumulative),
             )
         )
-    return VolumeReport(tuple(rows), v_oct())
+    return tuple(rows)
 
 
 def census(max_x: int, dedupe_mirror: bool = False) -> Iterator[LinkFamily]:

@@ -156,15 +156,13 @@ class GeodesicWord(CyclicWord):
     _alphabet = frozenset("LR")
 
 
-# Letters per block of word_to_matrix, and the entry count at which its
-# block memo is cleared: 4096 blocks of 64 letters hold about 1 MB.
+# Letters per block of word_to_matrix, and the block products its memo
+# keeps: 4096 blocks of 64 letters hold about 1 MB.
 _BLOCK = 64
 _BLOCK_MEMO_CAP = 4096
 
-# (a, b, c, d) of the product over each block met since the last clear
-_block_matrices: "dict[str, tuple[int, int, int, int]]" = {}
 
-
+@lru_cache(maxsize=_BLOCK_MEMO_CAP)
 def _block_product(block: str) -> "tuple[int, int, int, int]":
     """Entries of the product over one block, one column addition per letter.
 
@@ -193,11 +191,11 @@ def word_to_matrix(word: "GeodesicWord | str") -> MatrixPSL2Z:
     """Left-to-right product of L = (1 1; 0 1) and R = (1 0; 1 1) over the word.
 
     The word is cut into blocks of _BLOCK letters.  Each block's entries
-    come from a module-level memo keyed by the block's letters; a miss
-    runs _block_product.  A cutting word is Sturmian, with only k + 1
-    distinct factors of each length k, so a few dozen blocks serve
-    whole families of words.  The memo is cleared when it reaches
-    _BLOCK_MEMO_CAP entries, so it never holds more than about 1 MB.
+    come from _block_product, memoised on the block's letters.  A
+    cutting word is Sturmian, with only k + 1 distinct factors of each
+    length k, so a few dozen blocks serve whole families of words.  The
+    memo keeps the _BLOCK_MEMO_CAP blocks used last, so it never holds
+    more than about 1 MB.
 
     The block matrices are multiplied by a balanced product tree:
     neighbours are paired level by level, an odd last one carried up.
@@ -214,16 +212,10 @@ def word_to_matrix(word: "GeodesicWord | str") -> MatrixPSL2Z:
     if isinstance(word, str):
         word = GeodesicWord(word)
     letters = word.letters
-    memo = _block_matrices
-    level = []
-    for start in range(0, len(letters), _BLOCK):
-        block = letters[start:start + _BLOCK]
-        entries = memo.get(block)
-        if entries is None:
-            if len(memo) >= _BLOCK_MEMO_CAP:
-                memo.clear()
-            entries = memo[block] = _block_product(block)
-        level.append(entries)
+    level = [
+        _block_product(letters[start:start + _BLOCK])
+        for start in range(0, len(letters), _BLOCK)
+    ]
     while len(level) > 1:
         paired = list(map(_product, level[::2], level[1::2]))
         if len(level) % 2:
@@ -488,10 +480,10 @@ def _integer_root(n: int, k: int) -> int:
 def _perfect_power(m: int) -> "tuple[int, int] | None":
     """(r, k) with r**k == m and k >= 2, or None; m has no factor below 1000.
 
-    Every prime factor of m is then at least 1009 > 2^9.97, so k is at
-    most m.bit_length() // 10.
+    Every prime factor of m is then at least 1009 > 2^9, so m >= 2^(9k)
+    and k is at most (m.bit_length() - 1) // 9.
     """
-    for k in range(2, m.bit_length() // 10 + 1):
+    for k in range(2, (m.bit_length() - 1) // 9 + 1):
         r = _integer_root(m, k)
         if r**k == m:
             return r, k

@@ -13,7 +13,7 @@ import io
 import json
 from decimal import Context, Decimal, ROUND_HALF_UP
 
-from .links import LinkFamily, VolumeReport
+from .links import LinkFamily, VolumeRow
 
 _TWELVE = Context(prec=12, rounding=ROUND_HALF_UP)
 
@@ -43,6 +43,7 @@ CSV_HEADER = [
 
 def family_to_dict(family: LinkFamily) -> dict:
     """JSON-ready dict for a link family, keys in fixed order."""
+    counts = family.counts
     return {
         "target": str(family.target),
         "x": family.x,
@@ -59,9 +60,9 @@ def family_to_dict(family: LinkFamily) -> dict:
             for record in family.orbits
         ],
         "counts": {
-            "modular": family.counts.modular,
-            "ut_single": family.counts.ut_single,
-            "ut_both": family.counts.ut_both,
+            "modular": counts.modular,
+            "ut_single": counts.ut_single,
+            "ut_both": counts.ut_both,
         },
         "volume_modular": real12(family.volume_modular),
         "volume_paper_formula": real12(family.volume_alternative),
@@ -77,12 +78,12 @@ def family_to_json(family: LinkFamily, compact: bool = False) -> str:
     return json.dumps(d, indent=2)
 
 
-def report_to_csv(report: VolumeReport) -> str:
-    """CSV table of a volume report, header plus one row per n."""
+def report_to_csv(rows: tuple[VolumeRow, ...]) -> str:
+    """CSV table of volume_length_table's rows, header plus one row per n."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in report.rows:
+    for row in rows:
         writer.writerow(
             [
                 str(row.n),
@@ -90,7 +91,7 @@ def report_to_csv(report: VolumeReport) -> str:
                 str(row.trace),
                 format_real(row.length),
                 format_real(row.cumulative_length),
-                str(row.octahedra),
+                str(row.n),
                 format_real(row.volume),
                 format_real(row.volume_alternative),
                 format_real(row.ratio),

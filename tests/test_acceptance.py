@@ -86,7 +86,7 @@ def test_criterion_3_traces_lengths_fields():
     assert field_discriminant(word_to_matrix("LLRR")) == 2
     assert field_discriminant(word_to_matrix("LRLLRR")) == 221
     assert field_discriminant(word_to_matrix("LRRLLR")) == 221
-    rows = volume_length_table(50).rows
+    rows = volume_length_table(50)
     for row in rows:
         n, t = row.n, row.trace
         assert 3**n <= t * 2**n, n  # (3/2)^n <= trace, exactly
@@ -171,6 +171,6 @@ def test_criterion_7_census():
 
 def test_criterion_8_volume_length_ratio_window():
     lo, hi = RATIO_WINDOW
-    for row in volume_length_table(50).rows:
+    for row in volume_length_table(50):
         assert lo < row.ratio < hi, (row.n, row.ratio)
     print("criterion 8: PASS - volume/sqrt(length) inside frozen window")

@@ -4,7 +4,8 @@ Production modules use only the public names of their siblings: a
 helper shared by an oracle and production code is public by name, so
 no module reaches into another's private internals.  The package's
 ``__all__`` lists exactly the names its ``__init__`` imports, and each
-of them is used by some other module of the package, so the package
+of them is used by some other module of the package, as is each public
+method, property and field of the classes among them, so the package
 carries no API that only the tests call.  Every import is relative or
 from the standard library, so the package has no runtime dependency.
 """
@@ -72,6 +73,40 @@ def test_every_public_name_is_used_by_the_package():
     modules = [path for path in SOURCE.glob("*.py") if path.name != "__init__.py"]
     used = set().union(*map(_names_used, modules))
     assert sorted(set(modlink.__all__) - used) == sorted(_UNUSED_PUBLIC_NAMES)
+
+
+# Public class members no package module reads, each with the reason it is kept.
+_UNREAD_PUBLIC_MEMBERS: set[str] = set()
+
+
+def _attributes_read(path: Path) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _public_members(cls: type) -> set[str]:
+    """Methods, properties and annotated fields defined in the package."""
+    members = set()
+    for klass in cls.__mro__:
+        if klass.__module__.startswith("modlink"):
+            members.update(vars(klass), vars(klass).get("__annotations__", {}))
+    return {name for name in members if not name.startswith("_")}
+
+
+def test_every_public_class_member_is_read_by_the_package():
+    modules = [path for path in SOURCE.glob("*.py") if path.name != "__init__.py"]
+    read = set().union(*map(_attributes_read, modules))
+    exported = [getattr(modlink, name) for name in modlink.__all__]
+    classes = [obj for obj in exported if isinstance(obj, type)]
+    unread = {
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name in _public_members(cls) - read
+    }
+    assert sorted(unread) == sorted(_UNREAD_PUBLIC_MEMBERS)
 
 
 def _absolute_imports(path: Path) -> list[str]:

@@ -21,16 +21,15 @@ from modlink.farey import (
     ONE,
     ZERO,
     NegativeSlopeError,
-    NotNeighboursError,
     Slope,
     farey_path,
+    is_farey_neighbour,
     order_as_farey_chain,
     v_orbit,
     v_rotate,
 )
 from modlink.links import (
     LinkFamily,
-    OctahedralBlock,
     _family_slopes,
     _tower_word,
     build_family,
@@ -116,8 +115,9 @@ def test_family_three_halves_golden():
     assert fam.volume_alternative == pytest.approx(fam.volume_modular / 2)
     assert fam.total_length == pytest.approx(sum(r.length for r in fam.orbits))
     assert fam.ratio == pytest.approx(fam.volume_modular / math.sqrt(fam.total_length))
-    assert len(fam.blocks) == 9
-    assert [b.chart_det for b in fam.blocks] == [-1] * 8 + [1]
+    chain = fam.slopes
+    dets = [a.p * b.q - a.q * b.p for a, b in zip(chain, chain[1:] + chain[:1])]
+    assert dets == [-1] * 8 + [1]  # ascending pairs, then the wrap 1/0 -> -2/1
 
 
 def test_family_one_is_the_single_octahedron_anchor():
@@ -161,10 +161,8 @@ def _family_invariants(fam: LinkFamily):
         assert record.word.canonical().letters == record.word.letters
         assert record.length == pytest.approx(trace_length(record.trace))
     assert orbit_union == slopes
-    assert len(fam.blocks) == 3 * x
-    assert [b.bottom for b in fam.blocks] == list(fam.slopes)
-    assert [b.top for b in fam.blocks] == list(fam.slopes[1:]) + [fam.slopes[0]]
-    assert all(abs(b.chart_det) == 1 for b in fam.blocks)
+    chain = fam.slopes
+    assert all(is_farey_neighbour(a, b) for a, b in zip(chain, chain[1:] + chain[:1]))
     counts = fam.counts
     assert (counts.modular, counts.ut_single, counts.ut_both) == (x, 3 * x, 6 * x)
     assert fam.volume_modular == pytest.approx(x * V_OCT_REFERENCE, rel=1e-12)
@@ -208,11 +206,8 @@ def test_census_families_match_the_closure_oracle_to_depth_8():
         chain, orbit_slopes = _closure_oracle(family.path)
         assert list(family.slopes) == chain
         assert [record.slopes for record in family.orbits] == orbit_slopes
-        assert "blocks" not in vars(family)  # built only when first read
-        assert family.blocks == tuple(
-            OctahedralBlock(chain[i], chain[(i + 1) % len(chain)])
-            for i in range(len(chain))
-        )
+        pairs = zip(family.slopes, family.slopes[1:] + family.slopes[:1])
+        assert all(is_farey_neighbour(a, b) for a, b in pairs)
 
 
 def test_census_builds_one_word_per_representative(monkeypatch):
@@ -227,18 +222,6 @@ def test_census_builds_one_word_per_representative(monkeypatch):
     families = list(census(5))
     assert sum(f.x for f in families) == 129
     assert len(built) == len(set(built)) == 2**5 - 1
-
-
-# ---------------------------------------------------------------- blocks
-
-
-def test_block_chart_and_validation():
-    block = OctahedralBlock(Slope(1, 2), ONE)
-    assert block.chart == ((1, 1), (2, 1))
-    assert block.chart_det == -1
-    assert OctahedralBlock(ONE, Slope(1, 2)).chart_det == 1
-    with pytest.raises(NotNeighboursError):
-        OctahedralBlock(Slope(1, 2), Slope(3, 4))
 
 
 # ------------------------------------------------------- geodesic towers
@@ -272,9 +255,7 @@ def test_gamma_trace_recursion_holds_to_50():
 
 
 def test_volume_length_table_golden():
-    report = volume_length_table(3)
-    assert report.v_oct == pytest.approx(V_OCT_REFERENCE, abs=1e-12)
-    rows = report.rows
+    rows = volume_length_table(3)
     assert [r.n for r in rows] == [1, 2, 3]
     assert [r.word.letters for r in rows] == ["LR", "LLRR", "LLRRLR"]
     assert [r.trace for r in rows] == [3, 6, 15]
@@ -291,9 +272,8 @@ def test_volume_length_table_golden():
 
 
 def test_volume_length_ratio_window_to_50():
-    report = volume_length_table(50)
     cumulative = 0.0
-    for row in report.rows:
+    for row in volume_length_table(50):
         cumulative += row.length
         assert row.cumulative_length == pytest.approx(cumulative, rel=1e-12)
         assert 1.5 < row.ratio < 4.5

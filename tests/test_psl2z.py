@@ -135,9 +135,9 @@ def test_word_to_matrix_on_periodic_words(period, length):
     assert word_to_matrix(letters) == _generator_product(letters)
 
 
-def test_block_memo_is_cleared_at_its_cap():
+def test_block_memo_is_bounded_by_its_cap():
     # 5000 distinct blocks, the binary spellings of 0..4999 in L and R,
-    # eight to a word: the memo passes its cap and must be cleared
+    # eight to a word: the memo fills to its cap and stays there
     cap = psl2z._BLOCK_MEMO_CAP
     blocks = [format(i, "064b").translate({48: "L", 49: "R"}) for i in range(5000)]
     assert len(set(blocks)) > cap and {len(b) for b in blocks} == {psl2z._BLOCK}
@@ -145,9 +145,8 @@ def test_block_memo_is_cleared_at_its_cap():
     for start in range(0, len(blocks), 8):
         letters = "".join(blocks[start:start + 8])
         assert word_to_matrix(letters) == _generator_product(letters)
-        sizes.append(len(psl2z._block_matrices))
-    assert max(sizes) <= cap
-    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+        sizes.append(psl2z._block_product.cache_info().currsize)
+    assert max(sizes) == cap == sizes[-1]
 
 
 def _matrix_power(m: tuple, k: int) -> tuple:
@@ -404,6 +403,17 @@ def test_factorize_prime_squares_and_cubes_above_2_30(bits):
     assert _factorize(p**2) == {p: 2}
     assert _factorize(p**3) == {p: 3}
     assert _factorize(2 * 7**2 * p**3) == {2: 1, 7: 2, p: 3}
+
+
+@pytest.mark.parametrize("k", [47, 53])
+def test_perfect_power_finds_high_prime_exponents_of_1009(k):
+    # 1009, the least prime trial division leaves, has 9.98 bits, so
+    # 1009^47 has 469 bits and 1009^53 has 529: fewer than 10 per unit
+    # of exponent
+    from modlink.psl2z import _factorize, _perfect_power
+
+    assert _perfect_power(1009**k) == (1009, k)
+    assert _factorize(1009**k) == {1009: k}
 
 
 def test_factorize_squares_and_cubes_of_primes_from_1009_to_5000():
