@@ -5,18 +5,15 @@ path, the rotation orbits of slopes it generates, the AB cutting
 sequences and LR words of the corresponding geodesics on the modular
 surface, their traces, lengths and quadratic fields, and the octahedral
 decomposition counts and volumes of the associated link complements.
-Every symbolic algorithm has an independent geometric oracle in the test
-suite.
+Every symbolic algorithm has an independent geometric oracle.  The
+oracles live in ``modlink.cutting`` and are not exported here.
 """
 
 from .cutting import (
     ABWord,
     UnsupportedSlopeError,
     ab_sequence,
-    ab_sequence_geometric,
-    ab_to_lr,
     continued_fraction,
-    lr_geometric_oracle,
     slope_to_word,
 )
 from .farey import (
@@ -85,8 +82,6 @@ __all__ = [
     "VolumeRow",
     "ZERO",
     "ab_sequence",
-    "ab_sequence_geometric",
-    "ab_to_lr",
     "base_triangle",
     "build_family",
     "census",
@@ -96,7 +91,6 @@ __all__ = [
     "geodesic_length",
     "is_farey_neighbour",
     "least_rotation",
-    "lr_geometric_oracle",
     "mediant",
     "nonnegative_representative",
     "order_as_farey_chain",

@@ -131,7 +131,8 @@ def _route_nonnegative(s: Slope) -> Slope:
 def _cmd_slope_info(args) -> int:
     s: Slope = args.slope
     cf = None if (s.is_infinity or s.p < 0) else list(continued_fraction(s))
-    x = None if s.p < 0 else farey_path(s).x
+    # the Farey path's x is the digit sum, 1 on the base triangle
+    x = None if s.p < 0 else max(1, sum(cf or ()))
     orbit = sorted(v_orbit(s))
     if args.json:
         payload = {
@@ -292,24 +293,33 @@ _DOMAIN_SLUGS = [
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = _build_parser()
+    # CPython 3.10.7 and later cap int-string conversion at 4300 digits:
+    # lift the cap for this call, so exact integers parse and print whole
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-    except DomainInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SystemExit as exc:
-        # argparse has already printed its reason (or the help text)
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except tuple(cls for cls, _ in _DOMAIN_SLUGS) as exc:
-        slug = next(slug for cls, slug in _DOMAIN_SLUGS if isinstance(exc, cls))
-        print(f"error: {slug}: {exc}", file=sys.stderr)
-        return 3
-    except UnwritableOutputError as exc:
-        print(f"error: unwritable-output: {exc}", file=sys.stderr)
-        return 2
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except DomainInputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except SystemExit as exc:
+            # argparse has already printed its reason (or the help text)
+            return int(exc.code or 0)
+        try:
+            return args.func(args)
+        except tuple(cls for cls, _ in _DOMAIN_SLUGS) as exc:
+            slug = next(slug for cls, slug in _DOMAIN_SLUGS if isinstance(exc, cls))
+            print(f"error: {slug}: {exc}", file=sys.stderr)
+            return 3
+        except UnwritableOutputError as exc:
+            print(f"error: unwritable-output: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

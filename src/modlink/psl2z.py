@@ -367,27 +367,24 @@ def _ladder(k: int, x: int, z: int, a24: int, n: int) -> "tuple[int, int]":
     """(X : Z) of k*P for P = (x : z) on a Montgomery curve mod n, k >= 1.
 
     The curve is b*y^2 = x^3 + a*x^2 + x with a24 = (a + 2)/4; only X
-    and Z are carried, and the two ladder points always differ by P.
+    and Z are carried.  From (O, P), O = (1 : 0), each bit of k takes one
+    step that adds the two points, whose difference is P, and doubles the
+    first; a 1 bit swaps them before and after.  The first step scales P
+    by 4xz, a unit mod n whenever x and z are.
     """
-    s, t = (x + z) * (x + z) % n, (x - z) * (x - z) % n
-    w = s - t
-    x0, z0 = x, z
-    x1, z1 = s * t % n, w * (t + a24 * w) % n
-    for bit in bin(k)[3:]:
+    x0, z0, x1, z1 = 1, 0, x, z
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
         p0, m0, p1, m1 = x0 + z0, x0 - z0, x1 + z1, x1 - z1
         u, v = m0 * p1, p0 * m1
         xs, zs = u + v, u - v
-        xs, zs = z * xs * xs % n, x * zs * zs % n
+        x1, z1 = z * xs * xs % n, x * zs * zs % n
+        s, t = p0 * p0 % n, m0 * m0 % n
+        w = s - t
+        x0, z0 = s * t % n, w * (t + a24 * w) % n
         if bit == "1":
-            s, t = p1 * p1 % n, m1 * m1 % n
-            w = s - t
-            x0, z0 = xs, zs
-            x1, z1 = s * t % n, w * (t + a24 * w) % n
-        else:
-            s, t = p0 * p0 % n, m0 * m0 % n
-            w = s - t
-            x1, z1 = xs, zs
-            x0, z0 = s * t % n, w * (t + a24 * w) % n
+            x0, z0, x1, z1 = x1, z1, x0, z0
     return x0, z0
 
 
@@ -498,16 +495,12 @@ def _factorize(n: int) -> dict[int, int]:
     of ECM can meet p^k whole, so that its gcd is n on every curve.
     """
     factors: dict[int, int] = {}
-    for d in (2, 3, 5):
+    for d in (2, *range(3, 1000, 2)):
+        if d * d > n:
+            break
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
-    d = 7
-    while d * d <= n and d < 1000:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 2
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()

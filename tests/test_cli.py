@@ -11,13 +11,16 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from modlink import cli, figures, links, psl2z
+from modlink import cli, farey, figures, links, psl2z
 from modlink.cli import main
+from modlink.farey import INFINITY, Slope, farey_path
 from modlink.psl2z import least_rotation
 
 
@@ -61,6 +64,49 @@ def test_slope_info_json_handles_infinity(capsys):
     assert data["slope"] == "1/0"
     assert data["continued_fraction"] is None
     assert data["v_orbit"] == ["0/1", "1/1", "1/0"]
+
+
+def test_slope_info_reads_x_off_the_continued_fraction(capsys, monkeypatch):
+    # x is the digit sum; walking the Farey path would take time and
+    # memory linear in x
+    slopes = [Slope(p, q) for p in range(21) for q in range(1, 21) if math.gcd(p, q) == 1]
+    expected = {s: farey_path(s).x for s in slopes + [INFINITY]}
+
+    def no_walk(target):
+        raise AssertionError(f"slope-info walked the Farey path to {target}")
+
+    monkeypatch.setattr(farey, "_descent", no_walk)
+    code, out, _ = run(capsys, "slope-info", "1/1000000000")
+    assert code == 0
+    assert "farey-path-length: 1000000000" in out.splitlines()
+    for s, x in expected.items():
+        code, out, _ = run(capsys, "slope-info", str(s))
+        assert (code, out.splitlines()[2]) == (0, f"farey-path-length: {x}"), s
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="interpreters before 3.10.7 have no int-string limit",
+)
+def test_cli_lifts_the_int_string_limit_for_one_call(capsys):
+    a, b = 1, 1
+    while len(str(b)) < 641:
+        a, b = b, a + b
+    fibonacci_ratio = f"{b}/{a}"  # spelled before the limit is lowered
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        # the table's traces reach 669 digits
+        code, out, err = run(capsys, "table", "--n", "1600")
+        assert (code, err) == (0, "")
+        assert hashlib.md5(out.encode()).hexdigest() == "fb8f34deb44458714ad1a9facad9cf79"
+        assert sys.get_int_max_str_digits() == 640
+        code, out, err = run(capsys, "slope-info", fibonacci_ratio)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"slope: {fibonacci_ratio}"
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_cutting_with_oracle_check(capsys):
@@ -238,8 +284,23 @@ def test_outputs_are_deterministic(capsys):
         (("family", "21/13", "--json", "-"), "eb4901556cf98e4226abe2cd46231309"),
         (("family", "21/13"), "85e7494786879b9db094c28d15a999fc"),
         (("table", "--n", "200"), "9fa2b36579594bb378c2238fbe29a8e2"),
+        (("census", "--max-x", "9"), "922b40a73a25e6692b69de308e242cfd"),
+        (("census", "--max-x", "9", "--dedupe-mirror"),
+         "65e39ea5855ab8fd5a3ecd045695b1d2"),
+        (("census", "--max-x", "10"), "83b758b881246673a1d70790972e35ba"),
+        (("table", "--n", "600"), "afeb5d6e454090d6d4e4e1418e7aa79c"),
+        (("table", "--n", "1600"), "fb8f34deb44458714ad1a9facad9cf79"),
+        (("svg-path", "3/2", "--out", "-"), "3f42d81a994e3fb257abd26749d76234"),
+        (("svg-line", "3/2", "--out", "-"), "2211db43d69ba2fc1a1e806a1b8bf1fa"),
+        (("word", "10007/7777"), "b854c6f4b33a8bbecd0b52c5f544a89b"),
+        (("cutting", "--check", "10007/7777"), "e555bd595d743ec82c9df6ba3b4fc525"),
+        (("slope-info", "3/2", "--json"), "66902f9edba070544c67427b0ac52b89"),
     ],
-    ids=["census-7", "census-7-dedupe", "family-json", "family-text", "table-200"],
+    ids=[
+        "census-7", "census-7-dedupe", "family-json", "family-text", "table-200",
+        "census-9", "census-9-dedupe", "census-10", "table-600", "table-1600",
+        "svg-path", "svg-line", "word", "cutting-check", "slope-info-json",
+    ],
 )
 def test_outputs_are_byte_identical_to_the_pinned_digests(capsys, argv, md5):
     code, out, err = run(capsys, *argv)

@@ -6,8 +6,10 @@ no module reaches into another's private internals.  The package's
 ``__all__`` lists exactly the names its ``__init__`` imports, and each
 of them is used by some other module of the package, as is each public
 method, property and field of the classes among them, so the package
-carries no API that only the tests call.  Every import is relative or
-from the standard library, so the package has no runtime dependency.
+carries no API that only the tests call.  The geometric oracles stay in
+``cutting``, named only by the CLI and the figures.  Every import is
+relative or from the standard library, so the package has no runtime
+dependency.
 """
 
 import ast
@@ -50,13 +52,6 @@ def test_package_all_is_exactly_the_imported_names():
     assert [name for name in modlink.__all__ if not hasattr(modlink, name)] == []
 
 
-# Public names no package module uses, each with the reason it is kept.
-_UNUSED_PUBLIC_NAMES = {
-    # perfbench's tracer wraps cutting.ab_to_lr by name as a layer
-    "ab_to_lr",
-}
-
-
 def _names_used(path: Path) -> set[str]:
     used = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -72,7 +67,41 @@ def _names_used(path: Path) -> set[str]:
 def test_every_public_name_is_used_by_the_package():
     modules = [path for path in SOURCE.glob("*.py") if path.name != "__init__.py"]
     used = set().union(*map(_names_used, modules))
-    assert sorted(set(modlink.__all__) - used) == sorted(_UNUSED_PUBLIC_NAMES)
+    assert sorted(set(modlink.__all__) - used) == []
+
+
+# The geometric oracles of modlink.cutting and their event lists, and the
+# only modules besides cutting that may name them: the CLI's --check and
+# the figures, which draw the crossings.
+_ORACLES = {
+    "ab_sequence_geometric", "ab_to_lr", "lr_geometric_oracle",
+    "ab_events", "lr_events",
+}
+_ORACLE_USERS = {"cli.py", "figures.py"}
+
+
+def _oracles_named(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [
+            f"{path.name}:{node.lineno} names {name}" for name in names if name in _ORACLES
+        ]
+    return found
+
+
+def test_only_the_cli_and_the_figures_reach_the_oracles():
+    modules = [
+        path for path in sorted(SOURCE.glob("*.py"))
+        if path.name not in _ORACLE_USERS | {"cutting.py"}
+    ]
+    assert modules
+    assert [hit for path in modules for hit in _oracles_named(path)] == []
 
 
 # Public class members no package module reads, each with the reason it is kept.

@@ -18,6 +18,7 @@ import decimal
 import functools
 import itertools
 import math
+import random
 
 import pytest
 import sympy
@@ -445,6 +446,25 @@ def _checked_factorization(n: int) -> dict:
     assert math.prod(p**e for p, e in factors.items()) == n
     assert [p for p in factors if not sympy.isprime(p)] == []
     return factors
+
+
+def test_ladder_multiples_add_up():
+    # _add(aP, bP, (a - b)P) is (a + b)P, on Montgomery curves mod the
+    # prime 2^61 - 1.  Differential addition is undefined when the
+    # difference is O or (0 : 1), which only points of small order
+    # reach; random residues meet one with negligible probability.
+    n = 2**61 - 1
+    rng = random.Random(n)
+
+    def same_point(p, q):
+        return any(p) and any(q) and (p[0] * q[1] - q[0] * p[1]) % n == 0
+
+    for _ in range(200):
+        x, z, a24 = (rng.randrange(1, n) for _ in range(3))
+        b, a = sorted(rng.sample(range(1, 2**40), 2))
+        mult = functools.partial(psl2z._ladder, x=x, z=z, a24=a24, n=n)
+        assert same_point(mult(1), (x, z))
+        assert same_point(psl2z._add(mult(a), mult(b), mult(a - b), n), mult(a + b))
 
 
 def test_capped_rho_hands_the_72_bit_census_number_to_ecm():
