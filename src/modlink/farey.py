@@ -56,6 +56,8 @@ class Slope:
 
     def __post_init__(self):
         p, q = self.p, self.q
+        if q > 0 and math.gcd(p, q) == 1:
+            return
         if p == 0 and q == 0:
             raise UndefinedSlopeError("slope 0/0 is not defined")
         if q == 0:

@@ -11,6 +11,7 @@ is equality in PSL(2, Z).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,11 +56,10 @@ class MatrixPSL2Z:
                     flip = entry < 0
                     break
         if flip:
-            a, b, c, d = -a, -b, -c, -d
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+            object.__setattr__(self, "a", -a)
+            object.__setattr__(self, "b", -b)
+            object.__setattr__(self, "c", -c)
+            object.__setattr__(self, "d", -d)
 
     def trace(self) -> int:
         """a + d of the normalized representative (always >= 0)."""
@@ -252,20 +252,45 @@ def geodesic_length(m: MatrixPSL2Z) -> float:
     return trace_length(m.trace())
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_PRODUCT = math.prod(_MR_WITNESSES)
+
+# psi_k, the least strong pseudoprime to the first k prime bases, for
+# k = 1..7, 9, 12, 13 (psi_8 = psi_7 and psi_11 = psi_10 = psi_9), and
+# the number of bases proven sufficient below each (Jaeschke, Math.
+# Comp. 1993, up to psi_8; Jiang and Deng, Math. Comp. 2014, for psi_9;
+# Sorenson and Webster, Math. Comp. 2017, for psi_12 and psi_13), then
+# all 13 above psi_13.  psi_12 = 399165290221 * 798330580441.
+_MR_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+_MR_BASES = (1, 2, 3, 4, 5, 6, 7, 9, 12, 13, 13)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin; the fixed witness set is deterministic below 3.3e24."""
+    """Miller-Rabin on the shortest witness prefix proven for n's size.
+
+    Below psi_k the first k primes are proven to be enough, so the
+    answer is exact below psi_13 = 3.3e24; above it all 13 witnesses
+    are used and an accepted n is only a strong probable prime.
+    """
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _WITNESS_PRODUCT) != 1:
+        return n in _MR_WITNESSES
     d = n - 1
     r = ((d & -d).bit_length()) - 1
     d >>= r
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:_MR_BASES[bisect.bisect_right(_MR_BOUNDS, n)]]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -331,6 +356,16 @@ _ECM_DOUBLINGS = 11
 _ECM_B2_RATIO = 50
 
 
+def _sieve(size: int) -> bytearray:
+    """Sieve of Eratosthenes: byte i is 1 exactly when i is prime, 0 <= i < size."""
+    sieve = bytearray([1]) * size
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(size - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, size, p)))
+    return sieve
+
+
 @lru_cache(maxsize=None)
 def _ecm_plan(b1: int) -> "tuple[tuple[int, ...], int, int, tuple[bytes, ...]]":
     """Stage-1 prime powers, half window d, first window centre and windows.
@@ -343,11 +378,7 @@ def _ecm_plan(b1: int) -> "tuple[tuple[int, ...], int, int, tuple[bytes, ...]]":
     """
     b2 = _ECM_B2_RATIO * b1
     d = math.isqrt(b2) // 2
-    sieve = bytearray([1]) * (b2 + 4 * d)
-    sieve[:2] = b"\0\0"
-    for p in range(2, math.isqrt(len(sieve) - 1) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, len(sieve), p)))
+    sieve = _sieve(b2 + 4 * d)
     powers = []
     for p in itertools.compress(range(b1 + 1), sieve[:b1 + 1]):
         power = p
@@ -487,20 +518,35 @@ def _perfect_power(m: int) -> "tuple[int, int] | None":
     return None
 
 
+# The primes trial division removes, and their product: n shares with
+# it exactly the primes below 1000 that divide n.
+_TRIAL_PRIMES = tuple(itertools.compress(range(1000), _sieve(1000)))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+
+
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization: trial division below 1000, then rho, then ECM.
 
-    A perfect power is split into its root first.  Rho and ECM cannot
-    split one: on p^2 and p^3 rho can return no factor, and every curve
-    of ECM can meet p^k whole, so that its gcd is n on every curve.
+    Trial division takes one gcd g of n with the product of the primes
+    below 1000, then divides n only by the primes of g, in ascending
+    order.  A perfect power is split into its root first.  Rho and ECM
+    cannot split one: on p^2 and p^3 rho can return no factor, and every
+    curve of ECM can meet p^k whole, so that its gcd is n on every curve.
     """
+    if n < 2:
+        return {}
     factors: dict[int, int] = {}
-    for d in (2, *range(3, 1000, 2)):
-        if d * d > n:
+    g = math.gcd(n, _TRIAL_PRODUCT)
+    for p in _TRIAL_PRIMES:
+        if g == 1:
             break
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
+        if g % p == 0:
+            g //= p
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            factors[p] = k
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
@@ -533,16 +579,19 @@ def field_discriminant(m: MatrixPSL2Z) -> int:
 
     The eigenvalues (t +- sqrt(t^2 - 4))/2 generate this real quadratic
     field.  Factoring t - 2 and t + 2 separately halves the size of
-    the numbers factored, each by trial division, Brent's rho and then
-    the elliptic curve method; the cost grows with the second-largest
-    prime factor, and no budget bounds it.  Results are memoised per
-    trace in a bounded LRU cache of _DISCRIMINANT_CACHE_SIZE entries,
-    so classes that share a trace are factored once.
+    the numbers factored, each by trial division (one gcd with the
+    product of the primes below 1000, then division by the primes it
+    shares), Brent's rho and then the elliptic curve method; the cost
+    grows with the second-largest prime factor, and no budget bounds
+    it.  Results are memoised per trace in a bounded LRU cache of
+    _DISCRIMINANT_CACHE_SIZE entries, so classes that share a trace are
+    factored once.
 
     The result is proven only while every cofactor that _is_prime
-    accepts lies below 3.3e24, where its fixed Miller-Rabin witnesses
-    are deterministic; a larger accepted cofactor is only a strong
-    probable prime, so d is exact only if that cofactor is prime.
+    accepts lies below psi_13 = 3.3e24, where the Miller-Rabin witness
+    prefix proven for its size (13 bases at most) is deterministic; a
+    larger accepted cofactor is only a strong probable prime, so d is
+    exact only if that cofactor is prime.
     """
     t = m.trace()
     _require_hyperbolic(t)

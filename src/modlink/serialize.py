@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from decimal import Context, Decimal, ROUND_HALF_UP
+from functools import lru_cache
 
 from .links import LinkFamily, VolumeRow
 
@@ -23,8 +24,18 @@ def format_real(x: float) -> str:
     return format(_TWELVE.plus(Decimal(x)), "f")
 
 
+# Reals kept by the real12 memo; a census to depth 9 rounds 6141 reals,
+# 400 of them distinct.
+_REAL12_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_REAL12_CACHE_SIZE)
 def real12(x: float) -> float:
-    """The 12-significant-digit rounding of x, as a float for JSON."""
+    """The 12-significant-digit rounding of x, as a float for JSON.
+
+    Memoised on x.  0.0 and -0.0 share an entry, which is exact: both
+    round to 0.0, because Decimal.plus drops the sign of zero.
+    """
     return float(format_real(x))
 
 
@@ -71,10 +82,13 @@ def family_to_dict(family: LinkFamily) -> dict:
     }
 
 
+_COMPACT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def family_to_json(family: LinkFamily, compact: bool = False) -> str:
     d = family_to_dict(family)
     if compact:
-        return json.dumps(d, separators=(",", ":"))
+        return _COMPACT_ENCODER.encode(d)
     return json.dumps(d, indent=2)
 
 

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from modlink.farey import (
     INFINITY,
@@ -188,17 +188,26 @@ def test_slope_total_order_matches_rationals_with_infinity_on_top():
     assert values == sorted(values)
 
 
-@given(st.integers(-200, 200), st.integers(-200, 200))
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+@example(0, 0)
+@example(7, 0)
+@example(-7, 0)
+@example(0, -7)
+@example(6, -4)
+@example(-6, -4)
+@example(-3, 7)
 def test_slope_constructor_is_canonical(p, q):
-    if p == 0 and q == 0:
-        with pytest.raises(ValueError):
+    # Fraction reduces p/q with the sign on the numerator; n/0 is 1/0
+    if p == q == 0:
+        with pytest.raises(UndefinedSlopeError):
             Slope(p, q)
         return
     s = Slope(p, q)
-    assert math.gcd(abs(s.p), s.q) == 1 if s.q else s.p == 1
-    assert s.q >= 0
-    if q != 0:
-        assert Fraction(s.p, s.q) == Fraction(p, q)
+    if q == 0:
+        assert (s.p, s.q) == (1, 0)
+    else:
+        f = Fraction(p, q)
+        assert (s.p, s.q) == (f.numerator, f.denominator)
 
 
 # ------------------------------------------------------- neighbour tests

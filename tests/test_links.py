@@ -348,6 +348,28 @@ def test_format_real_is_twelve_significant_digits():
     assert real12(10.991587130126627) == 10.9915871301
 
 
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(-1e-300)
+def test_memoised_real12_is_float_of_format_real(x):
+    # repr tells 0.0 from -0.0; nan equals nothing, itself included
+    got, want = real12(x), float(format_real(x))
+    assert repr(got) == repr(want)
+
+
+def test_real12_memo_is_bounded_and_rounds_signed_zeros_alike():
+    assert 0 < real12.cache_info().maxsize <= 4096
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        real12.cache_clear()
+        assert repr(real12(first)) == repr(real12(second)) == "0.0"
+        assert real12.cache_info().hits == 1
+
+
 def test_family_json_schema_and_values():
     fam = build_family(Slope(3, 2))
     data = json.loads(family_to_json(fam))

@@ -22,7 +22,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modlink import psl2z
 from modlink.cutting import slope_to_word
@@ -356,6 +356,69 @@ def test_factorization_reconstructs_inputs():
             assert _is_prime(prime), (n, prime)
             product *= prime**exp
         assert product == n
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases, for
+# k = 1..7, 9, 12, 13 (Jaeschke 1993; Jiang and Deng 2014; Sorenson and
+# Webster 2017)
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+_PSI_12 = _PSI[8]
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_at_each_witness_bound():
+    # psi_13 passes all 13 witnesses and lies where _is_prime no longer
+    # claims a proof, so it is left out
+    from modlink.psl2z import _factorize, _is_prime
+
+    for psi in _PSI[:-1]:
+        assert not sympy.isprime(psi)
+        assert not _is_prime(psi), psi
+    assert 399165290221 * 798330580441 == _PSI_12
+    assert _factorize(_PSI_12) == {399165290221: 1, 798330580441: 1}
+
+
+# a few draws near each shape _is_prime meets: any integer, primes, and
+# products p(2p - 1) and p(4p - 3), a common shape of strong pseudoprimes
+_SMALLER_PRIMES = st.integers(2, 2**38).map(sympy.nextprime)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        st.integers(0, 2**80 - 1),
+        st.integers(0, 10**6),
+        st.integers(0, 2**79).map(sympy.nextprime),
+        _SMALLER_PRIMES.map(lambda p: p * (2 * p - 1)),
+        _SMALLER_PRIMES.map(lambda p: p * (4 * p - 3)),
+    )
+)
+@example(_PSI_12)
+@example(_PSI_12 - 2)
+def test_is_prime_agrees_with_sympy_below_2_80(n):
+    from modlink.psl2z import _is_prime
+
+    assert _is_prime(n) == sympy.isprime(n)
+
+
+def test_factorize_matches_sympy_from_1_to_5000_and_across_1000():
+    # trial division's primes stop at 997; its key order is ascending
+    from modlink.psl2z import _factorize
+
+    for n in (*range(1, 5001), 997 * 1009, 997**2, 1009**3, 2**64):
+        assert list(_factorize(n).items()) == sorted(sympy.factorint(n).items()), n
+    for n in (-6, -1, 0):
+        assert _factorize(n) == {}
 
 
 # primes in [10^3, 10^9]; 999 999 937 is the largest prime below 10^9
