@@ -193,7 +193,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_table(args) -> int:
     with _output_stream(args.csv) as out:
-        out.write(serialize.report_to_csv(links.volume_length_table(args.n)))
+        out.writelines(serialize.report_to_csv(links.volume_length_table(args.n)))
     return 0
 
 

@@ -216,27 +216,27 @@ class VolumeRow:
         return self.volume / math.sqrt(self.cumulative_length)
 
 
-def volume_length_table(n_max: int) -> tuple[VolumeRow, ...]:
-    """Rows n = 1..n_max of trace, length, volume and volume/sqrt(length)."""
+def volume_length_table(n_max: int) -> Iterator[VolumeRow]:
+    """Rows n = 1..n_max of trace, length, volume and volume/sqrt(length).
+
+    Each row is yielded as soon as it is computed, so the table streams
+    in memory linear in n_max; n_max < 1 raises on the first iteration.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows = []
     cumulative = 0.0
     for n in range(1, n_max + 1):
         word = GeodesicWord(_tower_word(n))
         matrix = word_to_matrix(word)
         length = geodesic_length(matrix)
         cumulative += length
-        rows.append(
-            VolumeRow(
-                n=n,
-                word=word,
-                trace=matrix.trace(),
-                length=length,
-                cumulative_length=cumulative,
-            )
+        yield VolumeRow(
+            n=n,
+            word=word,
+            trace=matrix.trace(),
+            length=length,
+            cumulative_length=cumulative,
         )
-    return tuple(rows)
 
 
 def census(max_x: int, dedupe_mirror: bool = False) -> Iterator[LinkFamily]:

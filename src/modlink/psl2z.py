@@ -524,7 +524,7 @@ _TRIAL_PRIMES = tuple(itertools.compress(range(1000), _sieve(1000)))
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
-def _factorize(n: int) -> dict[int, int]:
+def _factorize(n: int, parity_only: bool = False) -> dict[int, int]:
     """Prime factorization: trial division below 1000, then rho, then ECM.
 
     Trial division takes one gcd g of n with the product of the primes
@@ -532,6 +532,11 @@ def _factorize(n: int) -> dict[int, int]:
     order.  A perfect power is split into its root first.  Rho and ECM
     cannot split one: on p^2 and p^3 rho can return no factor, and every
     curve of ECM can meet p^k whole, so that its gcd is n on every curve.
+
+    With parity_only, a perfect power r^k met on the way is dropped when
+    k is even and counts as r once when k is odd, so the result factors
+    n / s^2 for some s: each exponent has the parity it has in n, which
+    is all a squarefree part needs, and no square root is factored.
     """
     if n < 2:
         return {}
@@ -562,7 +567,7 @@ def _factorize(n: int) -> dict[int, int]:
         power = _perfect_power(m)
         if power is not None:
             root, k = power
-            pending.extend([root] * k)
+            pending.extend([root] * (k % 2 if parity_only else k))
             continue
         f = _pollard_rho(m) or _ecm(m)
         pending.extend((m // f, f))
@@ -583,9 +588,11 @@ def field_discriminant(m: MatrixPSL2Z) -> int:
     product of the primes below 1000, then division by the primes it
     shares), Brent's rho and then the elliptic curve method; the cost
     grows with the second-largest prime factor, and no budget bounds
-    it.  Results are memoised per trace in a bounded LRU cache of
-    _DISCRIMINANT_CACHE_SIZE entries, so classes that share a trace are
-    factored once.
+    it.  Only each exponent's parity is kept, so the root of a perfect
+    square, such as the Fibonacci and Lucas factors of the traces of
+    (LR)^n, is never factored.  Results are memoised per trace in a
+    bounded LRU cache of _DISCRIMINANT_CACHE_SIZE entries, so classes
+    that share a trace are factored once.
 
     The result is proven only while every cofactor that _is_prime
     accepts lies below psi_13 = 3.3e24, where the Miller-Rabin witness
@@ -601,7 +608,7 @@ def field_discriminant(m: MatrixPSL2Z) -> int:
 @lru_cache(maxsize=_DISCRIMINANT_CACHE_SIZE)
 def _trace_discriminant(t: int) -> int:
     """Squarefree part of (t - 2)(t + 2) for a hyperbolic trace t > 2."""
-    merged = _factorize(t - 2)
-    for prime, exp in _factorize(t + 2).items():
+    merged = _factorize(t - 2, parity_only=True)
+    for prime, exp in _factorize(t + 2, parity_only=True).items():
         merged[prime] = merged.get(prime, 0) + exp
     return math.prod(prime for prime, exp in merged.items() if exp % 2)

@@ -3,16 +3,17 @@
 Real numbers are rounded to 12 significant digits with ties away from
 zero; identical inputs always serialize to identical bytes.  Traces are
 serialized as decimal strings because they outgrow every fixed-width
-integer type.
+integer type.  CSV lines are joined directly rather than through the
+csv module: every CSV field is made of digits, L, R, "." and "-", so
+no field ever needs quoting.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from decimal import Context, Decimal, ROUND_HALF_UP
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .links import LinkFamily, VolumeRow
 
@@ -92,26 +93,29 @@ def family_to_json(family: LinkFamily, compact: bool = False) -> str:
     return json.dumps(d, indent=2)
 
 
-def report_to_csv(rows: tuple[VolumeRow, ...]) -> str:
-    """CSV table of volume_length_table's rows, header plus one row per n."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+def report_to_csv(rows: Iterable[VolumeRow]) -> Iterator[str]:
+    """CSV lines of volume_length_table's rows: the header, then one per n.
+
+    Each line is one str.join, yielded as soon as its row arrives.  The
+    text equals what csv.writer writes with a newline line terminator:
+    its minimal quoting never applies, because no field can hold a
+    comma, a quote or a line break; the fields are digits, L and R, "."
+    and "-".
+    """
+    yield ",".join(CSV_HEADER) + "\n"
     for row in rows:
-        writer.writerow(
-            [
-                str(row.n),
-                row.word.letters,
-                str(row.trace),
-                format_real(row.length),
-                format_real(row.cumulative_length),
-                str(row.n),
-                format_real(row.volume),
-                format_real(row.volume_alternative),
-                format_real(row.ratio),
-            ]
-        )
-    return out.getvalue()
+        n = str(row.n)
+        yield ",".join((
+            n,
+            row.word.letters,
+            str(row.trace),
+            format_real(row.length),
+            format_real(row.cumulative_length),
+            n,
+            format_real(row.volume),
+            format_real(row.volume_alternative),
+            format_real(row.ratio),
+        )) + "\n"
 
 
 def family_text(family: LinkFamily) -> str:

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -183,6 +184,13 @@ def test_length(capsys):
     ]
 
 
+def test_length_of_a_long_perfect_power_word(capsys):
+    # trace 418 digits; t - 2 and t + 2 are 5 F_1000^2 and L_1000^2
+    code, out, err = run(capsys, "length", "LR" * 1000)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "discriminant: 5"
+
+
 def test_family_json(capsys):
     code, out, err = run(capsys, "family", "3/2", "--json", "-")
     assert code == 0
@@ -255,6 +263,40 @@ def test_table_csv(capsys):
         "2,LLRR,6,3.52549434808,5.45034164832,2,"
         "7.32772475342,3.66386237671,3.13875403957",
     ]
+
+
+def test_table_streams_each_row_as_it_is_computed(monkeypatch):
+    multiplied, writes = [], []
+    word_to_matrix = links.word_to_matrix
+
+    def counting_word_to_matrix(word):
+        multiplied.append(word)
+        return word_to_matrix(word)
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append((len(multiplied), text))
+            return super().write(text)
+
+    monkeypatch.setattr(links, "word_to_matrix", counting_word_to_matrix)
+    monkeypatch.setattr("sys.stdout", Recorder())
+    assert main(["table", "--n", "5"]) == 0
+    # the header before any row, each row as soon as its matrix is built
+    assert [n for n, _ in writes] == list(range(6))
+    assert writes[0][1].startswith("n,word,")
+    assert all(text.count("\n") == 1 for _, text in writes)
+
+
+def test_table_memory_stays_flat_in_n():
+    # the whole table --n 2000 is 5.0 MB of text; streamed, it holds
+    # one row of at most 4.9 kB at a time (peak 33 kB measured)
+    tracemalloc.start()
+    try:
+        assert main(["table", "--n", "2000", "--csv", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_svg_outputs(tmp_path, capsys):

@@ -6,6 +6,8 @@ transform of the alternating series 1 - 1/9 + 1/25 - ..., and
 numerical quadrature of -8 * integral of ln(2 sin t) on [0, pi/4].
 """
 
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -255,7 +257,7 @@ def test_gamma_trace_recursion_holds_to_50():
 
 
 def test_volume_length_table_golden():
-    rows = volume_length_table(3)
+    rows = tuple(volume_length_table(3))
     assert [r.n for r in rows] == [1, 2, 3]
     assert [r.word.letters for r in rows] == ["LR", "LLRR", "LLRRLR"]
     assert [r.trace for r in rows] == [3, 6, 15]
@@ -268,7 +270,7 @@ def test_volume_length_table_golden():
         assert row.volume_alternative == pytest.approx(row.volume / 2)
         assert row.ratio == pytest.approx(row.volume / math.sqrt(row.cumulative_length))
     with pytest.raises(ValueError):
-        volume_length_table(0)
+        tuple(volume_length_table(0))
 
 
 def test_volume_length_ratio_window_to_50():
@@ -395,7 +397,7 @@ def test_family_json_schema_and_values():
 
 
 def test_report_csv_golden():
-    lines = report_to_csv(volume_length_table(3)).splitlines()
+    lines = "".join(report_to_csv(volume_length_table(3))).splitlines()
     assert lines[0] == (
         "n,word,trace,length,cumulative_length,octahedra,"
         "volume,volume_paper_formula,ratio"
@@ -412,6 +414,30 @@ def test_report_csv_golden():
         "3,LLRRLR,15,5.40715166186,10.8574933102,3,"
         "10.9915871301,5.49579356506,3.33576633705"
     )
+
+
+def _csv_writer_table(rows) -> str:
+    """The table as csv.writer writes it, the oracle for report_to_csv."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["n", "word", "trace", "length", "cumulative_length", "octahedra",
+         "volume", "volume_paper_formula", "ratio"]
+    )
+    for row in rows:
+        writer.writerow(
+            [row.n, row.word.letters, row.trace, format_real(row.length),
+             format_real(row.cumulative_length), row.n, format_real(row.volume),
+             format_real(row.volume_alternative), format_real(row.ratio)]
+        )
+    return out.getvalue()
+
+
+def test_report_csv_matches_csv_writer():
+    rows = tuple(volume_length_table(1600))
+    for n in (*range(1, 301), 1600):
+        text = "".join(report_to_csv(volume_length_table(n)))
+        assert text == _csv_writer_table(rows[:n]), n
 
 
 def test_family_text_report():

@@ -603,6 +603,44 @@ def test_field_discriminant_matches_direct_factorization():
             assert field_discriminant(m) == _squarefree_part(t * t - 4)
 
 
+@pytest.mark.parametrize("n", [500, 1000])
+def test_perfect_square_cofactors_of_lr_powers_are_never_split(monkeypatch, n):
+    # the trace of (LR)^n is the Lucas number L_2n, and of t - 2 and
+    # t + 2 one is L_n^2 and the other 5 F_n^2, whose roots have about
+    # 0.69n bits; only the parity of each exponent matters
+    def refuse(m):
+        raise AssertionError(f"_ecm ran on a {m.bit_length()}-bit number")
+
+    monkeypatch.setattr(psl2z, "_ecm", refuse)
+    m = word_to_matrix("LR" * n)
+    assert psl2z._trace_discriminant.__wrapped__(m.trace()) == 5  # past the memo
+    assert field_discriminant(m) == 5
+
+
+_ROOTS = st.one_of(
+    st.integers(2, 10**6),
+    st.integers(1000, 2**40).map(sympy.nextprime),
+    st.tuples(st.integers(1000, 2**20), st.integers(1000, 2**20)).map(
+        lambda pq: sympy.nextprime(pq[0]) * sympy.nextprime(pq[1])
+    ),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_ROOTS, st.integers(1, 3), st.integers(1, 10**6))
+@example(1009 * 1013, 1, 1009 * 1013)  # a cube, whose root counts once
+def test_parity_factorization_gives_the_squarefree_part(r, k, s):
+    from modlink.psl2z import _factorize
+
+    n = r ** (2 * k) * s
+    factors = _factorize(n, parity_only=True)
+    assert math.prod(p for p, e in factors.items() if e % 2) == _squarefree_part(n)
+    # the factors are prime and multiply to n over a square
+    assert all(sympy.isprime(p) for p in factors)
+    square, rest = divmod(n, math.prod(p**e for p, e in factors.items()))
+    assert rest == 0 and math.isqrt(square) ** 2 == square
+
+
 def test_big_trace_discriminant_uses_split_factorization():
     # gcd(t-2, t+2) divides 4, so the squarefree parts of the two factors
     # can only share the prime 2; merging divides out its square.
