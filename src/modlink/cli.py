@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 malformed input or an output file that cannot
-be opened for writing, 3 domain error (negative slope where unsupported,
-parabolic or elliptic word, 0/0).  Every error prints a single line
+Exit codes: 0 success, 2 malformed input or an output that cannot be
+opened or written, 3 domain error (negative slope where unsupported,
+parabolic or elliptic word, 0/0), 141 (128 + SIGPIPE) when the reader
+of the output closes it early, as in ``modlink census --max-x 9 | head``;
+that case prints nothing.  Every error prints a single line
 ``error: <slug>: <detail>`` to stderr.  Output is deterministic: reals
 are fixed at 12 significant digits and orderings never depend on
 hashing.
@@ -14,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import re
 import sys
 
@@ -53,7 +56,7 @@ class DomainInputError(Exception):
 
 
 class UnwritableOutputError(Exception):
-    """The named output file cannot be opened for writing."""
+    """The named output file cannot be opened or written."""
 
 
 _NEGATIVE_NUMBER_START = re.compile(r"-[0-9]")
@@ -112,11 +115,12 @@ def _output_stream(destination: str):
         yield sys.stdout
         return
     try:
-        fh = open(destination, "w")
+        with open(destination, "w") as fh:
+            yield fh
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         raise UnwritableOutputError(f"{destination}: {exc.strerror}") from None
-    with fh:
-        yield fh
 
 
 def _route_nonnegative(s: Slope) -> Slope:
@@ -309,13 +313,27 @@ def main(argv: "list[str] | None" = None) -> int:
             # argparse has already printed its reason (or the help text)
             return int(exc.code or 0)
         try:
-            return args.func(args)
+            status = args.func(args)
+            sys.stdout.flush()  # a failed write surfaces here, not at exit
+            return status
         except tuple(cls for cls, _ in _DOMAIN_SLUGS) as exc:
             slug = next(slug for cls, slug in _DOMAIN_SLUGS if isinstance(exc, cls))
             print(f"error: {slug}: {exc}", file=sys.stderr)
             return 3
         except UnwritableOutputError as exc:
             print(f"error: unwritable-output: {exc}", file=sys.stderr)
+            return 2
+        except BrokenPipeError:
+            # the reader has gone: stop quietly, and send what stdout
+            # still buffers to devnull, so the interpreter's last flush
+            # has nothing to report
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
+        except OSError as exc:  # stdout cannot be written, e.g. a full disk
+            detail = f"<stdout>: {exc.strerror}"
+            print(f"error: unwritable-output: {detail}", file=sys.stderr)
             return 2
     finally:
         if limit:

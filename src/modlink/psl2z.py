@@ -524,54 +524,46 @@ _TRIAL_PRIMES = tuple(itertools.compress(range(1000), _sieve(1000)))
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
-def _factorize(n: int, parity_only: bool = False) -> dict[int, int]:
-    """Prime factorization: trial division below 1000, then rho, then ECM.
+def _odd_primes(n: int) -> set[int]:
+    """The primes that divide n to an odd power; empty for n < 2.
 
-    Trial division takes one gcd g of n with the product of the primes
-    below 1000, then divides n only by the primes of g, in ascending
-    order.  A perfect power is split into its root first.  Rho and ECM
-    cannot split one: on p^2 and p^3 rho can return no factor, and every
-    curve of ECM can meet p^k whole, so that its gcd is n on every curve.
-
-    With parity_only, a perfect power r^k met on the way is dropped when
-    k is even and counts as r once when k is odd, so the result factors
-    n / s^2 for some s: each exponent has the parity it has in n, which
-    is all a squarefree part needs, and no square root is factored.
+    Their product is the squarefree part of n.  Trial division (one gcd
+    with the product of the primes below 1000, then division by the
+    primes it shares), Brent's rho and then ECM split n into primes, and
+    each prime met toggles its membership, so one met an even number of
+    times drops out.  A perfect power r^k is split first: dropped when k
+    is even, counted as r once when k is odd, so no square root is
+    factored.  Rho and ECM cannot split one: on p^2 and p^3 rho can
+    return no factor, and every curve of ECM can meet p^k whole, so that
+    its gcd is n on every curve.
     """
-    if n < 2:
-        return {}
-    factors: dict[int, int] = {}
+    odd: set[int] = set()
+    if n < 2:  # every prime divides 0, so 0 would never leave the loop
+        return odd
     g = math.gcd(n, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
         if g == 1:
             break
         if g % p == 0:
             g //= p
-            k = 0
             while n % p == 0:
                 n //= p
-                k += 1
-            factors[p] = k
+                odd ^= {p}
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
-        for p in factors:  # a prime already found may divide m again
-            while m % p == 0:
-                factors[p] += 1
-                m //= p
-        if m == 1:
-            continue
         if _is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            odd ^= {m}
             continue
         power = _perfect_power(m)
         if power is not None:
             root, k = power
-            pending.extend([root] * (k % 2 if parity_only else k))
+            if k % 2:
+                pending.append(root)
             continue
         f = _pollard_rho(m) or _ecm(m)
         pending.extend((m // f, f))
-    return factors
+    return odd
 
 
 # Traces kept by the discriminant memo.  A census to depth D meets
@@ -583,16 +575,18 @@ def field_discriminant(m: MatrixPSL2Z) -> int:
     """Squarefree d with Q(sqrt(trace^2 - 4)) = Q(sqrt(d)).
 
     The eigenvalues (t +- sqrt(t^2 - 4))/2 generate this real quadratic
-    field.  Factoring t - 2 and t + 2 separately halves the size of
-    the numbers factored, each by trial division (one gcd with the
-    product of the primes below 1000, then division by the primes it
-    shares), Brent's rho and then the elliptic curve method; the cost
-    grows with the second-largest prime factor, and no budget bounds
-    it.  Only each exponent's parity is kept, so the root of a perfect
-    square, such as the Fibonacci and Lucas factors of the traces of
-    (LR)^n, is never factored.  Results are memoised per trace in a
-    bounded LRU cache of _DISCRIMINANT_CACHE_SIZE entries, so classes
-    that share a trace are factored once.
+    field, and d is the product of the primes that divide exactly one
+    of t - 2 and t + 2 to an odd power.  Factoring t - 2 and t + 2
+    separately halves the size of the numbers factored, each by trial
+    division (one gcd with the product of the primes below 1000, then
+    division by the primes it shares), Brent's rho and then the elliptic
+    curve method; the cost grows with the second-largest prime factor,
+    and no budget bounds it.  Factoring returns only the primes of odd
+    exponent, so the root of a perfect square, such as the Fibonacci and
+    Lucas factors of the traces of (LR)^n, is never factored.  Results
+    are memoised per trace in a bounded LRU cache of
+    _DISCRIMINANT_CACHE_SIZE entries, so classes that share a trace are
+    factored once.
 
     The result is proven only while every cofactor that _is_prime
     accepts lies below psi_13 = 3.3e24, where the Miller-Rabin witness
@@ -608,7 +602,5 @@ def field_discriminant(m: MatrixPSL2Z) -> int:
 @lru_cache(maxsize=_DISCRIMINANT_CACHE_SIZE)
 def _trace_discriminant(t: int) -> int:
     """Squarefree part of (t - 2)(t + 2) for a hyperbolic trace t > 2."""
-    merged = _factorize(t - 2, parity_only=True)
-    for prime, exp in _factorize(t + 2, parity_only=True).items():
-        merged[prime] = merged.get(prime, 0) + exp
-    return math.prod(prime for prime, exp in merged.items() if exp % 2)
+    # gcd(t - 2, t + 2) divides 4, so the two sets can share only 2
+    return math.prod(_odd_primes(t - 2) ^ _odd_primes(t + 2))

@@ -1,10 +1,10 @@
 """Command-line interface tests.
 
 Exit code contract: 0 success, 2 malformed invocation (argparse level)
-or an output file that cannot be opened, 3 well-formed input outside
-the mathematical domain.  All error text
-goes to stderr as a single "error: ..." line; stdout stays machine
-readable.
+or an output that cannot be opened or written, 3 well-formed input
+outside the mathematical domain, 141 with nothing printed when the
+reader closes the output pipe early.  All error text goes to stderr as
+a single "error: ..." line; stdout stays machine readable.
 """
 
 import errno
@@ -13,9 +13,11 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -337,11 +339,13 @@ def test_outputs_are_deterministic(capsys):
         (("word", "10007/7777"), "b854c6f4b33a8bbecd0b52c5f544a89b"),
         (("cutting", "--check", "10007/7777"), "e555bd595d743ec82c9df6ba3b4fc525"),
         (("slope-info", "3/2", "--json"), "66902f9edba070544c67427b0ac52b89"),
+        (("family", "89/55"), "6e6afab89830c85c9dfda92e11bf4706"),
     ],
     ids=[
         "census-7", "census-7-dedupe", "family-json", "family-text", "table-200",
         "census-9", "census-9-dedupe", "census-10", "table-600", "table-1600",
         "svg-path", "svg-line", "word", "cutting-check", "slope-info-json",
+        "family-89-55",
     ],
 )
 def test_outputs_are_byte_identical_to_the_pinned_digests(capsys, argv, md5):
@@ -444,6 +448,56 @@ def test_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypatch,
     detail = os.strerror(errno.ENOENT)
     assert run(capsys, *argv, str(target)) == (
         2, "", f"error: unwritable-output: {target}: {detail}\n"
+    )
+
+
+# ------------------------------------------- closed pipes and full outputs
+
+
+def _cli_process(*argv, stdout) -> subprocess.Popen:
+    """modlink run in a process of its own, on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "modlink.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (("census", "--max-x", "9"), lambda out: out.read(100)),
+        (("table", "--n", "3000"), lambda out: out.readline()),
+    ],
+    ids=["census-head-c-100", "table-head-1"],
+)
+def test_a_closed_pipe_ends_the_command_quietly_with_status_141(argv, read):
+    child = _cli_process(*argv, stdout=subprocess.PIPE)
+    assert read(child.stdout)
+    child.stdout.close()  # as head does once it has its bytes or lines
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=120), err) == (141, b"")
+
+
+_needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                     reason="no /dev/full on this system")
+
+
+@_needs_dev_full
+def test_a_full_output_file_exits_2_with_one_line(capsys):
+    detail = os.strerror(errno.ENOSPC)
+    assert run(capsys, "census", "--max-x", "3", "--jsonl", "/dev/full") == (
+        2, "", f"error: unwritable-output: /dev/full: {detail}\n"
+    )
+
+
+@_needs_dev_full
+def test_a_full_stdout_exits_2_with_one_line():
+    with open("/dev/full", "w") as full:
+        child = _cli_process("word", "3/2", stdout=full)
+        _, err = child.communicate(timeout=120)
+    detail = os.strerror(errno.ENOSPC)
+    assert (child.returncode, err.decode()) == (
+        2, f"error: unwritable-output: <stdout>: {detail}\n"
     )
 
 

@@ -6,7 +6,9 @@ no module reaches into another's private internals.  The package's
 ``__all__`` lists exactly the names its ``__init__`` imports, and each
 of them is used by some other module of the package, as is each public
 method, property and field of the classes among them, so the package
-carries no API that only the tests call.  The geometric oracles stay in
+carries no API that only the tests call.  No parameter with a default
+is passed one and the same value by every package call, so the package
+has no knob that never turns.  The geometric oracles stay in
 ``cutting``, named only by the CLI and the figures.  Every import is
 relative or from the standard library, so the package has no runtime
 dependency.
@@ -136,6 +138,99 @@ def test_every_public_class_member_is_read_by_the_package():
         for name in _public_members(cls) - read
     }
     assert sorted(unread) == sorted(_UNREAD_PUBLIC_MEMBERS)
+
+
+# Parameters to which package calls pass one value only, each with the
+# reason it is kept.
+_SINGLE_VALUED_PARAMETERS = {
+    # the entry point: the console script calls it bare, and the
+    # benchmark harness and the tests pass argv
+    "main.argv",
+}
+
+_VARYING = "<not a literal>"
+
+
+def _literal(node: ast.expr) -> str:
+    """The source of a literal expression, else _VARYING."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return _VARYING
+    return ast.unparse(node)
+
+
+def _signatures(trees) -> dict[str, tuple[list[str], dict[str, str]]]:
+    """Per function with a defaulted parameter: the parameters a call
+    fills by position, and the source of each default."""
+    methods = {
+        id(node)
+        for tree in trees
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+    }
+    signatures = {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        positional = [arg.arg for arg in a.posonlyargs + a.args]
+        defaulted = list(zip(positional[::-1], a.defaults[::-1]))
+        defaulted += [(arg.arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+        decorators = {ast.unparse(d) for d in node.decorator_list}
+        if id(node) in methods and "staticmethod" not in decorators:
+            positional = positional[1:]  # self or cls
+        if defaulted:
+            signatures[node.name] = positional, {
+                name: ast.unparse(d) for name, d in defaulted
+            }
+    return signatures
+
+
+def _single_valued_parameters() -> set[str]:
+    """'function.parameter' for each defaulted parameter to which package
+    calls pass a single literal value; an omitted argument passes the
+    default, and any other expression, or a function passed around
+    uncalled, counts as varying."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCE.glob("*.py")]
+    signatures = _signatures(trees)
+    values = {
+        f"{name}.{param}": set()
+        for name, (_, defaults) in signatures.items()
+        for param in defaults
+    }
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    called = set()
+    for call in nodes:
+        if not isinstance(call, ast.Call):
+            continue
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name not in signatures:
+            continue
+        called.add(id(call.func))
+        positional, defaults = signatures[name]
+        passed = dict(zip(positional, call.args))
+        passed.update((kw.arg, kw.value) for kw in call.keywords)
+        spread = None in passed or any(isinstance(a, ast.Starred) for a in call.args)
+        for param, default in defaults.items():
+            value = _VARYING if spread else (
+                _literal(passed[param]) if param in passed else default
+            )
+            values[f"{name}.{param}"].add(value)
+    for node in nodes:
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if name in signatures and id(node) not in called and isinstance(
+            getattr(node, "ctx", None), ast.Load
+        ):
+            for param in signatures[name][1]:
+                values[f"{name}.{param}"].add(_VARYING)
+    return {
+        key for key, seen in values.items() if len(seen) == 1 and _VARYING not in seen
+    }
+
+
+def test_no_defaulted_parameter_is_passed_a_single_value():
+    assert sorted(_single_valued_parameters()) == sorted(_SINGLE_VALUED_PARAMETERS)
 
 
 def _absolute_imports(path: Path) -> list[str]:

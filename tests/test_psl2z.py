@@ -6,11 +6,12 @@ Decimal evaluation of 2*ln((t + sqrt(t^2 - 4))/2) against the float
 trace-length code on both sides of its big-integer switchover, the
 product of the generator matrices L and R, multiplied as entry tuples,
 against the integer word kernel, and sympy's factorint against the
-Miller-Rabin + Brent rho + ECM factorizer and as the squarefree-part
-oracle for discriminants.  Where factorint takes seconds (two prime
-factors of 28 bits or more), the factorization is known by
-construction from primes sympy draws, or checked by multiplying back
-with sympy's isprime on every prime.
+primes of odd exponent that the Miller-Rabin + Brent rho + ECM
+factorizer returns and as the squarefree-part oracle for discriminants.
+Where factorint takes seconds (two prime factors of 28 bits or more),
+the answer is known by construction from primes sympy draws, or checked
+to be the only possible one: every element passes sympy's isprime, and
+dividing n by their product leaves a perfect square.
 """
 
 import collections
@@ -64,9 +65,14 @@ def _generator_product(letters: str) -> MatrixPSL2Z:
     return MatrixPSL2Z(*functools.reduce(_mul, entries, (1, 0, 0, 1)))
 
 
+def _sympy_odd_primes(n: int) -> set:
+    """The primes dividing n >= 1 to an odd power, by sympy."""
+    return {p for p, e in sympy.factorint(n).items() if e % 2}
+
+
 def _squarefree_part(n: int) -> int:
     """Product of the primes dividing n to an odd power, by sympy."""
-    return math.prod(p for p, e in sympy.factorint(n).items() if e % 2)
+    return math.prod(_sympy_odd_primes(n))
 
 
 # -------------------------------------------------------------- matrices
@@ -337,7 +343,7 @@ def test_trace_length_rejects_non_hyperbolic():
 
 
 def test_factorization_reconstructs_inputs():
-    from modlink.psl2z import _factorize, _is_prime
+    from modlink.psl2z import _is_prime, _odd_primes
 
     primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
     for p in range(2, 200):
@@ -351,11 +357,8 @@ def test_factorization_reconstructs_inputs():
         97**4 * 89**3,
     ]
     for n in cases:
-        product = 1
-        for prime, exp in _factorize(n).items():
-            assert _is_prime(prime), (n, prime)
-            product *= prime**exp
-        assert product == n
+        assert all(map(_is_prime, _checked_odd_primes(n))), n
+    assert _odd_primes(97**4 * 89**3) == {89}
 
 
 # psi_k, the least strong pseudoprime to the first k prime bases, for
@@ -379,13 +382,13 @@ _PSI_12 = _PSI[8]
 def test_is_prime_rejects_the_strong_pseudoprime_at_each_witness_bound():
     # psi_13 passes all 13 witnesses and lies where _is_prime no longer
     # claims a proof, so it is left out
-    from modlink.psl2z import _factorize, _is_prime
+    from modlink.psl2z import _is_prime, _odd_primes
 
     for psi in _PSI[:-1]:
         assert not sympy.isprime(psi)
         assert not _is_prime(psi), psi
     assert 399165290221 * 798330580441 == _PSI_12
-    assert _factorize(_PSI_12) == {399165290221: 1, 798330580441: 1}
+    assert _odd_primes(_PSI_12) == {399165290221, 798330580441}
 
 
 # a few draws near each shape _is_prime meets: any integer, primes, and
@@ -412,13 +415,13 @@ def test_is_prime_agrees_with_sympy_below_2_80(n):
 
 
 def test_factorize_matches_sympy_from_1_to_5000_and_across_1000():
-    # trial division's primes stop at 997; its key order is ascending
-    from modlink.psl2z import _factorize
+    # trial division's primes stop at 997
+    from modlink.psl2z import _odd_primes
 
     for n in (*range(1, 5001), 997 * 1009, 997**2, 1009**3, 2**64):
-        assert list(_factorize(n).items()) == sorted(sympy.factorint(n).items()), n
+        assert _odd_primes(n) == _sympy_odd_primes(n), n
     for n in (-6, -1, 0):
-        assert _factorize(n) == {}
+        assert _odd_primes(n) == set()
 
 
 # primes in [10^3, 10^9]; 999 999 937 is the largest prime below 10^9
@@ -434,9 +437,9 @@ _PRIMES = st.integers(10**3, 999_999_937).map(lambda n: sympy.nextprime(n - 1))
     )
 )
 def test_factorize_matches_sympy(n):
-    from modlink.psl2z import _factorize
+    from modlink.psl2z import _odd_primes
 
-    assert _factorize(n) == sympy.factorint(n)
+    assert _odd_primes(n) == _sympy_odd_primes(n)
 
 
 # primes in [2^28, 2^42], past rho's step cap, where ECM finds them;
@@ -454,19 +457,20 @@ _LARGE_PRIMES = st.integers(2**28, 2**42 - 11).map(lambda n: sympy.nextprime(n -
 def test_factorize_products_of_large_primes(primes):
     # sympy draws the primes, so the factorization is known; factorint
     # itself spends about 0.5 s on each of these numbers
-    from modlink.psl2z import _factorize
+    from modlink.psl2z import _odd_primes
 
-    assert _factorize(math.prod(primes)) == collections.Counter(primes)
+    odd = {p for p, e in collections.Counter(primes).items() if e % 2}
+    assert _odd_primes(math.prod(primes)) == odd
 
 
 @pytest.mark.parametrize("bits", [31, 36])
 def test_factorize_prime_squares_and_cubes_above_2_30(bits):
-    from modlink.psl2z import _factorize
+    from modlink.psl2z import _odd_primes
 
     p = sympy.prevprime(2**bits)
-    assert _factorize(p**2) == {p: 2}
-    assert _factorize(p**3) == {p: 3}
-    assert _factorize(2 * 7**2 * p**3) == {2: 1, 7: 2, p: 3}
+    assert _odd_primes(p**2) == set()
+    assert _odd_primes(p**3) == {p}
+    assert _odd_primes(2 * 7**2 * p**3) == {2, p}
 
 
 @pytest.mark.parametrize("k", [47, 53])
@@ -474,21 +478,21 @@ def test_perfect_power_finds_high_prime_exponents_of_1009(k):
     # 1009, the least prime trial division leaves, has 9.98 bits, so
     # 1009^47 has 469 bits and 1009^53 has 529: fewer than 10 per unit
     # of exponent
-    from modlink.psl2z import _factorize, _perfect_power
+    from modlink.psl2z import _odd_primes, _perfect_power
 
     assert _perfect_power(1009**k) == (1009, k)
-    assert _factorize(1009**k) == {1009: k}
+    assert _odd_primes(1009**k) == {1009}
 
 
 def test_factorize_squares_and_cubes_of_primes_from_1009_to_5000():
     # among them 1249^2, 1277^2, 1249^3 and 1277^3, where rho finds no
     # factor and every ECM curve's gcd is n: only a perfect-power split
     # factors them
-    from modlink.psl2z import _factorize
+    from modlink.psl2z import _odd_primes
 
     for p in sympy.primerange(1009, 5001):
-        assert _factorize(p**2) == {p: 2}, p
-        assert _factorize(p**3) == {p: 3}, p
+        assert _odd_primes(p**2) == set(), p
+        assert _odd_primes(p**3) == {p}, p
 
 
 # 33 414 406 429 * 72 861 197 861 is t + 2 of the 72-bit trace of 55/34,
@@ -496,19 +500,22 @@ def test_factorize_squares_and_cubes_of_primes_from_1009_to_5000():
 _CENSUS_72_BIT = 2434613678231239448369
 
 
-def _checked_factorization(n: int) -> dict:
-    """_factorize(n), checked to be the prime factorization of n.
+def _checked_odd_primes(n: int) -> set:
+    """_odd_primes(n), checked to be the primes of odd exponent in n.
 
-    The primes must multiply back to n and pass sympy's isprime, which
-    is deterministic below 2^64; by unique factorization this is
-    sympy's factorint, which takes 1.8 s on _CENSUS_72_BIT alone.
+    Each must pass sympy's isprime, which is deterministic below 2^64,
+    and n divided by their product must be a perfect square.  Distinct
+    primes multiply to a squarefree number, and the squarefree part of
+    n is unique, so this pins the set without sympy's factorint, which
+    takes 1.8 s on _CENSUS_72_BIT alone.
     """
-    from modlink.psl2z import _factorize
+    from modlink.psl2z import _odd_primes
 
-    factors = _factorize(n)
-    assert math.prod(p**e for p, e in factors.items()) == n
-    assert [p for p in factors if not sympy.isprime(p)] == []
-    return factors
+    odd = _odd_primes(n)
+    assert [p for p in odd if not sympy.isprime(p)] == []
+    square, rest = divmod(n, math.prod(odd))
+    assert rest == 0 and math.isqrt(square) ** 2 == square
+    return odd
 
 
 def test_ladder_multiples_add_up():
@@ -535,7 +542,7 @@ def test_capped_rho_hands_the_72_bit_census_number_to_ecm():
     assert psl2z._pollard_rho(n) is None
     g = psl2z._ecm(n)
     assert 1 < g < n and n % g == 0
-    assert _checked_factorization(n) == {33414406429: 1, 72861197861: 1}
+    assert _checked_odd_primes(n) == {33414406429, 72861197861}
 
 
 # t - 2 and t + 2 of the traces of 34/21, 55/34 and 89/55 (44, 72 and
@@ -552,7 +559,7 @@ def test_capped_rho_hands_the_72_bit_census_number_to_ecm():
     ],
 )
 def test_factorize_hard_family_numbers(n):
-    _checked_factorization(n)
+    _checked_odd_primes(n)
 
 
 def test_family_89_55_discriminants_match_checked_factorizations():
@@ -560,7 +567,7 @@ def test_family_89_55_discriminants_match_checked_factorizations():
     assert len(family.orbits) == 10
     for record in family.orbits:
         a, b = (
-            math.prod(p for p, e in _checked_factorization(n).items() if e % 2)
+            math.prod(_checked_odd_primes(n))
             for n in (record.trace - 2, record.trace + 2)
         )
         g = math.gcd(a, b)
@@ -630,15 +637,8 @@ _ROOTS = st.one_of(
 @given(_ROOTS, st.integers(1, 3), st.integers(1, 10**6))
 @example(1009 * 1013, 1, 1009 * 1013)  # a cube, whose root counts once
 def test_parity_factorization_gives_the_squarefree_part(r, k, s):
-    from modlink.psl2z import _factorize
-
     n = r ** (2 * k) * s
-    factors = _factorize(n, parity_only=True)
-    assert math.prod(p for p, e in factors.items() if e % 2) == _squarefree_part(n)
-    # the factors are prime and multiply to n over a square
-    assert all(sympy.isprime(p) for p in factors)
-    square, rest = divmod(n, math.prod(p**e for p, e in factors.items()))
-    assert rest == 0 and math.isqrt(square) ** 2 == square
+    assert _checked_odd_primes(n) == _sympy_odd_primes(n)
 
 
 def test_big_trace_discriminant_uses_split_factorization():
