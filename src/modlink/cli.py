@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 malformed input or an output that cannot be
-opened or written, 3 domain error (negative slope where unsupported,
-parabolic or elliptic word, 0/0), 141 (128 + SIGPIPE) when the reader
-of the output closes it early, as in ``modlink census --max-x 9 | head``;
-that case prints nothing.  Every error prints a single line
-``error: <slug>: <detail>`` to stderr.  Output is deterministic: reals
-are fixed at 12 significant digits and orderings never depend on
-hashing.
+Exit codes: 0 success, 2 malformed input, an output that cannot be
+opened or written, or a command that runs out of memory
+(``out-of-memory``), 3 domain error (negative slope where unsupported,
+parabolic or elliptic word, 0/0), 130 (128 + SIGINT) when Ctrl-C stops
+the command, 141 (128 + SIGPIPE) when the reader of the output closes it
+early, as in ``modlink census --max-x 9 | head``; the last two print
+nothing.  Every error prints a single line ``error: <slug>: <detail>``
+to stderr.  Output is deterministic: reals are fixed at 12 significant
+digits and orderings never depend on hashing.
 """
 
 from __future__ import annotations
@@ -59,14 +60,14 @@ class UnwritableOutputError(Exception):
     """The named output file cannot be opened or written."""
 
 
-_NEGATIVE_NUMBER_START = re.compile(r"-[0-9]")
+_NEGATIVE_NUMBER_START = re.compile(r"-[0-9.]")
 
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse prefix-matches this: an argument that starts like a
-        # negative number (-2, -2/1) is a value, not an option flag
+        # negative number (-2, -2/1, -.5) is a value, not an option flag
         self._negative_number_matcher = _NEGATIVE_NUMBER_START
 
     def error(self, message):
@@ -335,6 +336,12 @@ def main(argv: "list[str] | None" = None) -> int:
             detail = f"<stdout>: {exc.strerror}"
             print(f"error: unwritable-output: {detail}", file=sys.stderr)
             return 2
+    except MemoryError:
+        detail = "the command needs more memory than this process may use"
+        print(f"error: out-of-memory: {detail}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:  # Ctrl-C: the user has stopped the command
+        return 130  # 128 + SIGINT
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -1,9 +1,9 @@
 """Link families fibred by octahedra over Farey triangle paths.
 
 A triangle path of length x, closed up under the order-three rotation,
-yields 3x slopes arranged in a cyclic Farey chain, x rotation orbits of
-geodesics, and a decomposition of the link complement into ideal
-octahedra: x of them in the quotient, 3x in the single-orientation
+yields x rotation orbits of geodesics, whose 3x slopes sort into a
+cyclic Farey chain, and a decomposition of the link complement into
+ideal octahedra: x of them in the quotient, 3x in the single-orientation
 cover, 6x upstairs.  The volume of a regular ideal octahedron is
 4 * Catalan; the quotient volume reported here is x times that, with
 the alternative halved normalization (which also appears in the
@@ -27,7 +27,7 @@ from .farey import (
     farey_path,
     mediant,
     order_as_farey_chain,
-    v_rotate,
+    v_orbit,
 )
 from .psl2z import (
     GeodesicWord,
@@ -115,63 +115,35 @@ class LinkFamily:
         return self.volume_modular / math.sqrt(self.total_length)
 
 
-@lru_cache(maxsize=4096)
-def _representative_word(rep: Slope) -> GeodesicWord:
-    """slope_to_word, memoised: a census meets each representative in many families."""
-    return slope_to_word(rep)
+# Representatives kept by the orbit-and-word memo.  A census to depth D
+# meets 2^D - 1 representatives (511 at depth 9), so this covers depth 12.
+_REPRESENTATIVE_CACHE_SIZE = 4096
 
 
-def _family_slopes(
-    path: FareyPath,
-) -> tuple[tuple[Slope, ...], list[tuple[Slope, Slope, Slope]]]:
-    """The 3x slopes of a path's family as a Farey chain, and each orbit's slopes.
+@lru_cache(maxsize=_REPRESENTATIVE_CACHE_SIZE)
+def _representative(rep: Slope) -> tuple[tuple[Slope, ...], GeodesicWord]:
+    """A representative's rotation orbit, sorted, and its word.
 
-    Both are read off the descent.  The new vertices all lie on the
-    target's side of 1/1, and the rotation V maps (0, 1) -> (1, oo) ->
-    (-oo, 0) -> (0, 1) preserving order, so the sorted vertices and their
-    two images, with 0/1, 1/1 and 1/0 between them, come out ascending.
-    order_as_farey_chain still checks that order and every cyclic
-    neighbour pair, and the chain must hold exactly 3x distinct slopes,
-    so the x orbits are disjoint.  Orbits come in representative order,
-    1/1 first, each sorted ascending.
+    Memoised: a census meets each representative in many families.
     """
-    reps = path.new_vertices
-    turns = [v_rotate(r) for r in reps]
-    turns2 = [v_rotate(t) for t in turns]
-    order = sorted(range(len(reps)), key=reps.__getitem__)
-    arc, arc1, arc2 = ([seq[i] for i in order] for seq in (reps, turns, turns2))
-    if path.target < ONE:
-        chain = arc2 + [ZERO] + arc + [ONE] + arc1 + [INFINITY]
-        orbits = zip(turns2, reps, turns)
-    else:
-        chain = arc1 + [ZERO] + arc2 + [ONE] + arc + [INFINITY]
-        orbits = zip(turns, turns2, reps)
-    chain = order_as_farey_chain(chain)
-    if len(chain) != 3 * path.x:
-        raise RuntimeError(
-            f"rotation closure of {path.target} has {len(chain)} slopes,"
-            f" expected {3 * path.x}"
-        )
-    return tuple(chain), [(ZERO, ONE, INFINITY), *orbits]
+    return tuple(sorted(v_orbit(rep))), slope_to_word(rep)
 
 
 def build_family(target: Slope) -> LinkFamily:
     """Construct the link family of a nonnegative target slope.
 
     Takes the Farey path to the target and the rotation orbits of its x
-    representatives (1/1, whose orbit holds the base triangle, then one
-    per new path vertex).  The chain of their 3x slopes, and each
-    orbit's slopes, are read off the mediant descent in one linear pass
-    (_family_slopes), which still checks the chain's order, its cyclic
-    neighbour pairs and its size.  Each orbit gets its word, trace,
-    length and field.
+    representatives (1/1, whose orbit is the base triangle, then one per
+    new path vertex), each orbit sorted ascending.  Each orbit gets its
+    word, trace, length and field.  The family's chain is the union of
+    the orbits, sorted and checked: order_as_farey_chain checks every
+    cyclic neighbour pair, and the chain must hold exactly 3x distinct
+    slopes, so the x orbits are disjoint.
     """
     path = farey_path(target)
-    chain, orbit_slopes = _family_slopes(path)
-
     orbits = []
-    for rep, slopes in zip((ONE,) + path.new_vertices, orbit_slopes):
-        word = _representative_word(rep)
+    for rep in (ONE,) + path.new_vertices:
+        slopes, word = _representative(rep)
         matrix = word_to_matrix(word)
         orbits.append(
             OrbitRecord(
@@ -183,8 +155,13 @@ def build_family(target: Slope) -> LinkFamily:
                 discriminant=field_discriminant(matrix),
             )
         )
-
-    return LinkFamily(path=path, slopes=chain, orbits=tuple(orbits))
+    chain = order_as_farey_chain(s for record in orbits for s in record.slopes)
+    if len(chain) != 3 * path.x:
+        raise RuntimeError(
+            f"rotation closure of {path.target} has {len(chain)} slopes,"
+            f" expected {3 * path.x}"
+        )
+    return LinkFamily(path=path, slopes=tuple(chain), orbits=tuple(orbits))
 
 
 def _tower_word(n: int) -> str:

@@ -592,7 +592,10 @@ def field_discriminant(m: MatrixPSL2Z) -> int:
     accepts lies below psi_13 = 3.3e24, where the Miller-Rabin witness
     prefix proven for its size (13 bases at most) is deterministic; a
     larger accepted cofactor is only a strong probable prime, so d is
-    exact only if that cofactor is prime.
+    exact only if that cofactor is prime.  Each d is checked exactly:
+    it divides t^2 - 4 with a perfect-square quotient, which a lost or
+    miscounted prime breaks; a d that is not squarefree, possible only
+    if a probable prime has a square factor, passes the check.
     """
     t = m.trace()
     _require_hyperbolic(t)
@@ -601,6 +604,14 @@ def field_discriminant(m: MatrixPSL2Z) -> int:
 
 @lru_cache(maxsize=_DISCRIMINANT_CACHE_SIZE)
 def _trace_discriminant(t: int) -> int:
-    """Squarefree part of (t - 2)(t + 2) for a hyperbolic trace t > 2."""
+    """Squarefree part of (t - 2)(t + 2) for a hyperbolic trace t > 2.
+
+    Checked exactly before it is returned: d divides t^2 - 4 and the
+    quotient is a perfect square, else RuntimeError names t and d.
+    """
     # gcd(t - 2, t + 2) divides 4, so the two sets can share only 2
-    return math.prod(_odd_primes(t - 2) ^ _odd_primes(t + 2))
+    d = math.prod(_odd_primes(t - 2) ^ _odd_primes(t + 2))
+    square, rest = divmod(t * t - 4, d)
+    if rest or math.isqrt(square) ** 2 != square:
+        raise RuntimeError(f"trace {t}: {d} is not the squarefree part of t^2 - 4")
+    return d

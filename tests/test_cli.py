@@ -1,10 +1,11 @@
 """Command-line interface tests.
 
-Exit code contract: 0 success, 2 malformed invocation (argparse level)
-or an output that cannot be opened or written, 3 well-formed input
-outside the mathematical domain, 141 with nothing printed when the
-reader closes the output pipe early.  All error text goes to stderr as
-a single "error: ..." line; stdout stays machine readable.
+Exit code contract: 0 success, 2 malformed invocation (argparse level),
+an output that cannot be opened or written, or a command out of memory,
+3 well-formed input outside the mathematical domain, 130 with nothing
+printed on Ctrl-C, 141 with nothing printed when the reader closes the
+output pipe early.  All error text goes to stderr as a single
+"error: ..." line; stdout stays machine readable.
 """
 
 import errno
@@ -13,8 +14,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -340,12 +343,14 @@ def test_outputs_are_deterministic(capsys):
         (("cutting", "--check", "10007/7777"), "e555bd595d743ec82c9df6ba3b4fc525"),
         (("slope-info", "3/2", "--json"), "66902f9edba070544c67427b0ac52b89"),
         (("family", "89/55"), "6e6afab89830c85c9dfda92e11bf4706"),
+        (("family", "1/0"), "11abc9440c3bdd19c7e4b59f3bfca15d"),
+        (("family", "0/1", "--json", "-"), "792c6bf59159d9a7b6caa0d8f031cffb"),
     ],
     ids=[
         "census-7", "census-7-dedupe", "family-json", "family-text", "table-200",
         "census-9", "census-9-dedupe", "census-10", "table-600", "table-1600",
         "svg-path", "svg-line", "word", "cutting-check", "slope-info-json",
-        "family-89-55",
+        "family-89-55", "family-1-0", "family-0-1-json",
     ],
 )
 def test_outputs_are_byte_identical_to_the_pinned_digests(capsys, argv, md5):
@@ -402,8 +407,13 @@ def test_malformed_invocations_exit_2(capsys, argv):
         (("census", "--max-x", "-3"), "argument --max-x: malformed-integer: -3 is not >= 1"),
         (("word", "-2"), "argument slope: malformed-slope: '-2' is not 'p/q'"),
         (("word", "-2/1x"), "argument slope: malformed-slope: '-2/1x' is not 'p/q'"),
+        (("word", "-.5"), "argument slope: malformed-slope: '-.5' is not 'p/q'"),
+        (("slope-info", "-.5/2"),
+         "argument slope: malformed-slope: '-.5/2' is not 'p/q'"),
+        (("table", "--n", "-.5"), "argument --n: malformed-integer: '-.5'"),
     ],
-    ids=["table-n", "census-max-x", "word-integer", "word-trailing-text"],
+    ids=["table-n", "census-max-x", "word-integer", "word-trailing-text",
+         "word-dot", "slope-info-dot", "table-n-dot"],
 )
 def test_negative_numbers_are_values_that_name_the_error(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -454,11 +464,12 @@ def test_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypatch,
 # ------------------------------------------- closed pipes and full outputs
 
 
-def _cli_process(*argv, stdout) -> subprocess.Popen:
+def _cli_process(*argv, stdout, **options) -> subprocess.Popen:
     """modlink run in a process of its own, on this checkout's sources."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     return subprocess.Popen([sys.executable, "-m", "modlink.cli", *argv],
-                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+                            stdout=stdout, stderr=subprocess.PIPE, env=env,
+                            **options)
 
 
 @pytest.mark.parametrize(
@@ -499,6 +510,42 @@ def test_a_full_stdout_exits_2_with_one_line():
     assert (child.returncode, err.decode()) == (
         2, f"error: unwritable-output: <stdout>: {detail}\n"
     )
+
+
+# ------------------------------------------------ out of memory and Ctrl-C
+
+
+def _limit_address_space_to_1_gib():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_AS")
+def test_running_out_of_memory_exits_2_with_one_line():
+    # the word of 3000000000/1 has 6e9 letters, past the child's 1 GiB;
+    # the limit is set in the child only
+    child = _cli_process("word", "3000000000/1", stdout=subprocess.PIPE,
+                         preexec_fn=_limit_address_space_to_1_gib)
+    out, err = child.communicate(timeout=120)
+    assert (child.returncode, out, err.decode()) == (
+        2, b"", "error: out-of-memory: the command needs more memory than this"
+        " process may use\n"
+    )
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs SIGINT")
+def test_ctrl_c_ends_the_command_quietly_with_status_130():
+    # family 144/89 spends minutes factoring a 187-bit number
+    child = _cli_process("family", "144/89", stdout=subprocess.PIPE)
+    try:
+        time.sleep(2)
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, out, err) == (130, b"", b"")
 
 
 # -------------------------------------------------- domain errors, exit 3

@@ -8,7 +8,9 @@ of them is used by some other module of the package, as is each public
 method, property and field of the classes among them, so the package
 carries no API that only the tests call.  No parameter with a default
 is passed one and the same value by every package call, so the package
-has no knob that never turns.  The geometric oracles stay in
+has no knob that never turns.  No module imports a name it never
+reads or defines a private name that no package module uses, so a
+refactor leaves no leftovers behind.  The geometric oracles stay in
 ``cutting``, named only by the CLI and the figures.  Every import is
 relative or from the standard library, so the package has no runtime
 dependency.
@@ -231,6 +233,63 @@ def _single_valued_parameters() -> set[str]:
 
 def test_no_defaulted_parameter_is_passed_a_single_value():
     assert sorted(_single_valued_parameters()) == sorted(_SINGLE_VALUED_PARAMETERS)
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Names the tree reads, as variables or as attributes."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _unread_imports(path: Path, tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads; __init__ re-exports its
+    imports through __all__, so a name listed there counts as read."""
+    read = _loaded_names(tree)
+    if path.name == "__init__.py":
+        read |= set(modlink.__all__)
+    return [
+        f"{path.name}:{node.lineno} imports {name}"
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+            node, "module", None) != "__future__"
+        for name in (
+            (alias.asname or alias.name).partition(".")[0] for alias in node.names
+        )
+        if name not in read
+    ]
+
+
+def _private_module_names(path: Path, tree: ast.Module) -> set[str]:
+    """The private (single-underscore) names a module defines at top level."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(
+                name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            )
+    return {name for name in defined if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_module_carries_an_unread_import_or_private_name():
+    # a leftover of a refactor: an import nothing reads, or a private
+    # helper, constant or class that no package module uses any more
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCE.glob("*.py")}
+    assert trees
+    read = set().union(*map(_loaded_names, trees.values()))
+    leftovers = [hit for path, tree in trees.items() for hit in _unread_imports(path, tree)]
+    leftovers += [
+        f"{path.name} defines {name}"
+        for path, tree in trees.items()
+        for name in sorted(_private_module_names(path, tree) - read)
+    ]
+    assert sorted(leftovers) == []
 
 
 def _absolute_imports(path: Path) -> list[str]:

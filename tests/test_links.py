@@ -32,7 +32,6 @@ from modlink.farey import (
 )
 from modlink.links import (
     LinkFamily,
-    _family_slopes,
     _tower_word,
     build_family,
     census,
@@ -196,11 +195,15 @@ def _closure_oracle(path) -> tuple[list[Slope], list[tuple[Slope, ...]]]:
 @example(1, 0)
 @example(1, 5000)
 @example(5000, 1)
-def test_family_slopes_read_off_the_descent_match_the_closure_oracle(p, q):
+def test_family_slopes_match_the_closure_oracle(p, q):
     assume(math.gcd(p, q) == 1)
-    path = farey_path(Slope(p, q))
-    chain, orbit_slopes = _family_slopes(path)
-    assert (list(chain), orbit_slopes) == _closure_oracle(path)
+    with pytest.MonkeyPatch.context() as patch:
+        # the chain and orbits need no field: skip factoring the deep traces
+        patch.setattr(links, "field_discriminant", lambda matrix: 0)
+        family = build_family(Slope(p, q))
+    chain, orbit_slopes = _closure_oracle(family.path)
+    assert list(family.slopes) == chain
+    assert [record.slopes for record in family.orbits] == orbit_slopes
 
 
 def test_census_families_match_the_closure_oracle_to_depth_8():
@@ -213,17 +216,26 @@ def test_census_families_match_the_closure_oracle_to_depth_8():
 
 
 def test_census_builds_one_word_per_representative(monkeypatch):
-    built = []
+    built, orbits = [], []
 
     def counting_slope_to_word(s):
         built.append(s)
         return slope_to_word(s)
 
+    def counting_v_orbit(s):
+        orbits.append(s)
+        return v_orbit(s)
+
     monkeypatch.setattr(links, "slope_to_word", counting_slope_to_word)
-    links._representative_word.cache_clear()
-    families = list(census(5))
+    monkeypatch.setattr(links, "v_orbit", counting_v_orbit)
+    links._representative.cache_clear()
+    try:
+        families = list(census(5))
+    finally:
+        links._representative.cache_clear()
     assert sum(f.x for f in families) == 129
     assert len(built) == len(set(built)) == 2**5 - 1
+    assert len(orbits) == len(set(orbits)) == 2**5 - 1
 
 
 # ------------------------------------------------------- geodesic towers

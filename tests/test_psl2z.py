@@ -610,6 +610,19 @@ def test_field_discriminant_matches_direct_factorization():
             assert field_discriminant(m) == _squarefree_part(t * t - 4)
 
 
+def test_field_discriminant_checks_itself(monkeypatch):
+    # an _odd_primes that loses a prime gives a d whose cofactor in
+    # t^2 - 4 is not a square: 15^2 - 4 = 13 * 17, and d would be 13
+    odd_primes = psl2z._odd_primes
+    monkeypatch.setattr(psl2z, "_odd_primes", lambda n: odd_primes(n) - {17})
+    psl2z._trace_discriminant.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="trace 15: 13 "):
+            field_discriminant(word_to_matrix("LRLLRR"))
+    finally:
+        psl2z._trace_discriminant.cache_clear()
+
+
 @pytest.mark.parametrize("n", [500, 1000])
 def test_perfect_square_cofactors_of_lr_powers_are_never_split(monkeypatch, n):
     # the trace of (LR)^n is the Lucas number L_2n, and of t - 2 and
