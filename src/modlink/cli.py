@@ -33,8 +33,6 @@ from .cutting import (
 )
 from .farey import (
     NegativeSlopeError,
-    NotAChainError,
-    NotNeighboursError,
     Slope,
     UndefinedSlopeError,
     farey_path,
@@ -61,6 +59,21 @@ class UnwritableOutputError(Exception):
 
 
 _NEGATIVE_NUMBER_START = re.compile(r"-[0-9.]")
+# What str.splitlines breaks a line at.
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+# An integer option is ASCII digits with an optional sign, as one side
+# of a slope is: no whitespace, no underscores, no other script's digits.
+_INTEGER_PATTERN = re.compile(r"[+-]?[0-9]+")
+
+
+def _error(detail: str) -> None:
+    """Print the one ``error:`` line, escaping any line break in detail.
+
+    argparse echoes unrecognized arguments as they are, and an output
+    file's name is the user's, so either may hold a line break.
+    """
+    detail = _LINE_BREAK.sub(lambda m: repr(m.group())[1:-1], detail)
+    print(f"error: {detail}", file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER_START
 
     def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
+        _error(message)
         raise SystemExit(2)
 
 
@@ -96,10 +109,9 @@ def _word_arg(text: str) -> GeodesicWord:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed-integer: {text!r}") from None
+    if not _INTEGER_PATTERN.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"malformed-integer: {text!r}")
+    value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"malformed-integer: {value} is not >= 1")
     return value
@@ -292,8 +304,6 @@ _DOMAIN_SLUGS = [
     (EllipticError, "elliptic"),
     (NegativeSlopeError, "negative-slope"),
     (UnsupportedSlopeError, "unsupported-slope"),
-    (NotAChainError, "not-a-chain"),
-    (NotNeighboursError, "not-neighbours"),
 ]
 
 
@@ -308,7 +318,7 @@ def main(argv: "list[str] | None" = None) -> int:
         try:
             args = parser.parse_args(argv)
         except DomainInputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _error(str(exc))
             return 3
         except SystemExit as exc:
             # argparse has already printed its reason (or the help text)
@@ -319,10 +329,10 @@ def main(argv: "list[str] | None" = None) -> int:
             return status
         except tuple(cls for cls, _ in _DOMAIN_SLUGS) as exc:
             slug = next(slug for cls, slug in _DOMAIN_SLUGS if isinstance(exc, cls))
-            print(f"error: {slug}: {exc}", file=sys.stderr)
+            _error(f"{slug}: {exc}")
             return 3
         except UnwritableOutputError as exc:
-            print(f"error: unwritable-output: {exc}", file=sys.stderr)
+            _error(f"unwritable-output: {exc}")
             return 2
         except BrokenPipeError:
             # the reader has gone: stop quietly, and send what stdout
@@ -334,11 +344,11 @@ def main(argv: "list[str] | None" = None) -> int:
             return 141
         except OSError as exc:  # stdout cannot be written, e.g. a full disk
             detail = f"<stdout>: {exc.strerror}"
-            print(f"error: unwritable-output: {detail}", file=sys.stderr)
+            _error(f"unwritable-output: {detail}")
             return 2
     except MemoryError:
         detail = "the command needs more memory than this process may use"
-        print(f"error: out-of-memory: {detail}", file=sys.stderr)
+        _error(f"out-of-memory: {detail}")
         return 2
     except KeyboardInterrupt:  # Ctrl-C: the user has stopped the command
         return 130  # 128 + SIGINT

@@ -33,8 +33,11 @@ class NegativeSlopeError(ValueError):
     """Operation is defined only for nonnegative slopes (or 1/0)."""
 
 
-class NotAChainError(ValueError):
-    """A cyclically consecutive pair fails the Farey-neighbour test."""
+class NotAChainError(NotNeighboursError):
+    """A cyclically consecutive pair of a chain spans no Farey edge.
+
+    A repeated slope p/q is such a pair, since |pq - qp| = 0.
+    """
 
     def __init__(self, a: "Slope", b: "Slope"):
         super().__init__(f"not Farey neighbours: {a}, {b}")
@@ -143,18 +146,19 @@ def nonnegative_representative(s: Slope) -> Slope:
 
 @dataclass(frozen=True)
 class FareyTriangle:
-    """Three pairwise-neighbouring slopes, stored in ascending order."""
+    """Three pairwise-neighbouring slopes, stored in ascending order.
+
+    Three slopes form a triangle exactly when they form a Farey chain:
+    its three cyclic pairs are all the pairs, and a repeated vertex
+    fails as a pair.
+    """
 
     vertices: tuple[Slope, Slope, Slope]
 
     def __post_init__(self):
-        vs = tuple(sorted(self.vertices))
-        if len(set(vs)) != 3:
-            raise ValueError(f"degenerate triangle {vs}")
-        for i in range(3):
-            a, b = vs[i], vs[(i + 1) % 3]
-            if not is_farey_neighbour(a, b):
-                raise NotNeighboursError(f"{a} and {b} are not Farey neighbours")
+        if len(self.vertices) != 3:
+            raise ValueError(f"a triangle has three vertices, not {self.vertices}")
+        vs = tuple(order_as_farey_chain(self.vertices))
         object.__setattr__(self, "vertices", vs)
 
 
@@ -229,14 +233,14 @@ def farey_path(target: Slope) -> FareyPath:
 def order_as_farey_chain(slopes: Iterable[Slope]) -> list[Slope]:
     """Sort slopes ascending and verify cyclic consecutive neighbourliness.
 
-    The last slope (1/0 when present) must also neighbour the first.
-    Duplicates are dropped.  Raises NotAChainError naming the first
-    failing pair.  Input already in ascending order costs one comparison
-    per slope.
+    The last slope (1/0 when present) must also neighbour the first,
+    and a repeated slope fails as a pair, so every slope of a chain is
+    distinct.  Raises NotAChainError naming the first failing pair.
+    Input already in ascending order costs one comparison per slope.
     """
-    chain = sorted(dict.fromkeys(slopes))
+    chain = sorted(slopes)
     if len(chain) < 2:
-        raise ValueError("a Farey chain needs at least two distinct slopes")
+        raise ValueError("a Farey chain needs at least two slopes")
     for a, b in zip(chain, chain[1:] + chain[:1]):
         if not is_farey_neighbour(a, b):
             raise NotAChainError(a, b)

@@ -167,11 +167,9 @@ def lattice_line_svg(s: Slope) -> str:
         return (x, x + idx)
 
     for (x0, coeff), letter in ab_events(p, q):
-        if letter == "A":
-            x, y = float(x0), p / q * float(x0) + _DRAW_EPS
-        else:
-            x = float(x0) + float(coeff) * _DRAW_EPS
-            y = p / q * x + _DRAW_EPS
+        # an A crossing's offset coefficient is 0, so it sits at x0
+        x = float(x0) + float(coeff) * _DRAW_EPS
+        y = p / q * x + _DRAW_EPS
         cx, cy = px(x, y)
         parts.append(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="#1f4f8f" '

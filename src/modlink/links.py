@@ -136,9 +136,11 @@ def build_family(target: Slope) -> LinkFamily:
     representatives (1/1, whose orbit is the base triangle, then one per
     new path vertex), each orbit sorted ascending.  Each orbit gets its
     word, trace, length and field.  The family's chain is the union of
-    the orbits, sorted and checked: order_as_farey_chain checks every
-    cyclic neighbour pair, and the chain must hold exactly 3x distinct
-    slopes, so the x orbits are disjoint.
+    the orbits, sorted and checked by order_as_farey_chain, and that one
+    check also fixes its size at 3x slopes: V fixes no slope, since
+    p^2 - pq + q^2 = 0 only at 0/0, so each orbit has 3 slopes, and a
+    slope shared by two orbits would sit next to itself in the sorted
+    chain and fail the neighbour test.
     """
     path = farey_path(target)
     orbits = []
@@ -156,11 +158,6 @@ def build_family(target: Slope) -> LinkFamily:
             )
         )
     chain = order_as_farey_chain(s for record in orbits for s in record.slopes)
-    if len(chain) != 3 * path.x:
-        raise RuntimeError(
-            f"rotation closure of {path.target} has {len(chain)} slopes,"
-            f" expected {3 * path.x}"
-        )
     return LinkFamily(path=path, slopes=tuple(chain), orbits=tuple(orbits))
 
 

@@ -8,6 +8,7 @@ output pipe early.  All error text goes to stderr as a single
 "error: ..." line; stdout stays machine readable.
 """
 
+import contextlib
 import errno
 import hashlib
 import io
@@ -17,16 +18,18 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from modlink import cli, farey, figures, links, psl2z
 from modlink.cli import main
-from modlink.farey import INFINITY, Slope, farey_path
+from modlink.farey import INFINITY, ONE, NotAChainError, Slope, farey_path
 from modlink.psl2z import least_rotation
 
 
@@ -390,6 +393,9 @@ def test_cutting_output_slopes_reparse(capsys):
         ("census", "--max-x", "-3"),
         ("word", "-2"),
         ("word", "-2/1x"),
+        ("table", "--n", "1_0"),
+        ("census", "--max-x", "\u0663"),
+        ("table", "--n", " 5"),
     ],
 )
 def test_malformed_invocations_exit_2(capsys, argv):
@@ -594,3 +600,94 @@ def test_domain_errors_exit_3(capsys, argv, slug):
     assert err.startswith("error: ")
     assert slug in err
     assert len(err.rstrip("\n").splitlines()) == 1
+
+
+# ----------------------------------------------------- invariant failures
+
+
+def test_a_broken_chain_is_a_fault_not_a_domain_error(capsys, monkeypatch):
+    # no argument reaches a chain the package did not build itself, so a
+    # failing chain is a broken invariant and must not exit 3 as bad input
+    def broken(slopes):
+        raise NotAChainError(ONE, ONE)
+
+    monkeypatch.setattr(links, "order_as_farey_chain", broken)
+    with pytest.raises(NotAChainError):
+        main(["family", "3/2"])
+    assert capsys.readouterr().err == ""
+
+
+# ------------------------------------------------------- the CLI contract
+
+# Sides, depths, rows and words stay small: each command must finish in
+# well under a second.  A 20-digit side would make family factor without
+# end, which is the open problem of bounded work, not of this contract.
+_SIDE = st.one_of(
+    st.integers(-40, 40).map(str), st.integers(0, 40).map(lambda n: f"+{n}")
+)
+_ODD_TEXT = ["", "0/0", "7/0", "-3/0", "-.5", "-.5/2", "1_0/3", " 5/2", "3/2\n",
+             "\u0663/\u0662", "3", "a/b", "-", "1_0", " 5", "\u0663", "two"]
+_SLOPE = st.one_of(
+    st.builds("{}/{}".format, _SIDE, _SIDE), st.sampled_from(_ODD_TEXT)
+)
+_WORD = st.one_of(st.text("LR", max_size=16), st.sampled_from(_ODD_TEXT + ["LRX"]))
+
+
+def _count(most: int):
+    return st.one_of(st.integers(-2, most).map(str), st.sampled_from(_ODD_TEXT))
+
+
+# Per command: the parts it requires, then the parts it may take, each
+# part an argument or an option with its value.  Every output goes to '-'.
+_COMMANDS = {
+    "slope-info": ([(_SLOPE,)], [("--json",)]),
+    "cutting": ([(_SLOPE,)], [("--check",)]),
+    "word": ([(_SLOPE,)], []),
+    "family": ([(_SLOPE,)], [("--json", "-")]),
+    "census": ([("--max-x", _count(4))], [("--jsonl", "-"), ("--dedupe-mirror",)]),
+    "table": ([("--n", _count(40))], [("--csv", "-")]),
+    "length": ([(_WORD,)], []),
+    "svg-path": ([(_SLOPE,), ("--out", "-")], []),
+    "svg-line": ([(_SLOPE,), ("--out", "-")], []),
+}
+
+
+def _tokens(part):
+    return st.tuples(*(st.just(t) if isinstance(t, str) else t for t in part))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    parts = [draw(_tokens(part)) for part in required]
+    parts += [draw(_tokens(part)) for part in optional if draw(st.booleans())]
+    argv = [command] + [t for part in draw(st.permutations(parts)) for t in part]
+    if draw(st.integers(0, 3)) == 0:  # a missing argument
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    if draw(st.integers(0, 3)) == 0:  # an extra argument
+        argv.append(draw(st.one_of(_SLOPE, _WORD)))
+    return argv
+
+
+@settings(deadline=None, max_examples=500)
+@given(_argvs())
+@example(["cutting", "0/1", "3/2\n"])  # argparse echoes the extra argument
+@example(["svg-line", "3/2", "--out", "3/2\n"])  # the name of the output
+def test_every_invocation_keeps_the_exit_and_stderr_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    # an option whose '-' went missing takes the next argument as its file
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(here)
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    if lines[:1] and lines[0].startswith("notice: "):
+        del lines[0]
+    assert len(lines) == (code != 0)
+    assert all(line.startswith("error: ") for line in lines)

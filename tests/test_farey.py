@@ -344,3 +344,7 @@ def test_order_as_farey_chain_rejects_gaps():
     assert info.value.pair == (ONE, Slope(5, 2))
     with pytest.raises(ValueError):
         order_as_farey_chain([ONE])
+    # a repeated slope spans no edge with itself: |ps - qr| = 0
+    with pytest.raises(NotAChainError) as info:
+        order_as_farey_chain([ZERO, ZERO, INFINITY])
+    assert info.value.pair == (ZERO, ZERO)

@@ -23,6 +23,7 @@ from modlink.farey import (
     ONE,
     ZERO,
     NegativeSlopeError,
+    NotAChainError,
     Slope,
     farey_path,
     is_farey_neighbour,
@@ -238,6 +239,23 @@ def test_census_builds_one_word_per_representative(monkeypatch):
     assert len(orbits) == len(set(orbits)) == 2**5 - 1
 
 
+def test_family_rejects_orbits_that_share_a_slope(monkeypatch):
+    # a faulty orbit memo gives 3/2 an orbit that shares 1/2 with that of
+    # 2/1: the chain's neighbour test, not a count, must catch it
+    representative = links._representative
+
+    def overlapping(rep):
+        slopes, word = representative(rep)
+        if rep == Slope(3, 2):
+            slopes = (Slope(-2, 1), Slope(1, 3), Slope(1, 2))
+        return slopes, word
+
+    monkeypatch.setattr(links, "_representative", overlapping)
+    with pytest.raises(NotAChainError) as info:
+        build_family(Slope(3, 2))
+    assert info.value.pair == (Slope(1, 2), Slope(1, 2))
+
+
 # ------------------------------------------------------- geodesic towers
 
 
@@ -266,6 +284,22 @@ def test_gamma_trace_recursion_holds_to_50():
     assert traces[0] == 3 and traces[1] == 6
     for a, b, c in zip(traces, traces[1:], traces[2:]):
         assert c == 3 * b - a
+
+
+def test_each_tower_row_is_the_family_of_one_over_n():
+    # the closed-form tower word against the one slope -> word path
+    for n, row in enumerate(volume_length_table(60), 1):
+        family = build_family(Slope(1, n))
+        newest = family.orbits[-1]
+        assert (row.word.letters, row.trace, row.length) == (
+            newest.word.letters, newest.trace, newest.length
+        ), n
+        assert row.cumulative_length == family.total_length, n
+        assert row.volume == family.volume_modular, n
+        assert row.volume_alternative == family.volume_alternative, n
+        assert row.ratio == family.ratio, n
+    for n in range(1, 2000):
+        assert _tower_word(n) == slope_to_word(Slope(1, n)).letters, n
 
 
 def test_volume_length_table_golden():
