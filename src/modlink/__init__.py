@@ -54,7 +54,6 @@ from .psl2z import (
     field_discriminant,
     geodesic_length,
     least_rotation,
-    trace_length,
     word_to_matrix,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "nonnegative_representative",
     "order_as_farey_chain",
     "slope_to_word",
-    "trace_length",
     "v_oct",
     "v_orbit",
     "v_rotate",

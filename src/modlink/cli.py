@@ -1,14 +1,18 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 malformed input, an output that cannot be
-opened or written, or a command that runs out of memory
-(``out-of-memory``), 3 domain error (negative slope where unsupported,
-parabolic or elliptic word, 0/0), 130 (128 + SIGINT) when Ctrl-C stops
-the command, 141 (128 + SIGPIPE) when the reader of the output closes it
-early, as in ``modlink census --max-x 9 | head``; the last two print
-nothing.  Every error prints a single line ``error: <slug>: <detail>``
-to stderr.  Output is deterministic: reals are fixed at 12 significant
-digits and orderings never depend on hashing.
+Exit codes: 0 success, 1 when ``cutting --check`` finds an oracle that
+disagrees (a line reads ``mismatch``) or when a fault breaks an
+invariant of the package (a traceback, not an ``error:`` line), 2
+malformed input, an output that cannot be opened or written, or a
+command that runs out of memory (``out-of-memory``), 3 domain error
+(negative slope where unsupported, parabolic word, 0/0), 130 (128 +
+SIGINT) when Ctrl-C stops the command, 141 (128 + SIGPIPE) when the
+reader of the output closes it early, as in ``modlink census --max-x 9
+| head``; the last two print nothing.  An error that a command raises
+prints a single line ``error: <slug>: <detail>`` to stderr; a malformed
+command line prints argparse's single line ``error: <message>``, which
+names the argument.  Output is deterministic: reals are fixed at 12
+significant digits and orderings never depend on hashing.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .farey import (
     v_orbit,
 )
 from .psl2z import (
-    EllipticError,
     GeodesicWord,
     ParabolicError,
     field_discriminant,
@@ -217,9 +220,10 @@ def _cmd_table(args) -> int:
 def _cmd_length(args) -> int:
     word: GeodesicWord = args.word.canonical()
     matrix = word_to_matrix(word)
-    length = geodesic_length(matrix)  # raises before any output on trace < 3
+    t = matrix.trace()
+    length = geodesic_length(t)  # raises before any output on trace < 3
     print(f"word: {word}")
-    print(f"trace: {matrix.trace()}")
+    print(f"trace: {t}")
     print(f"length: {serialize.format_real(length)}")
     print(f"discriminant: {field_discriminant(matrix)}")
     return 0
@@ -301,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _DOMAIN_SLUGS = [
     (ParabolicError, "parabolic"),
-    (EllipticError, "elliptic"),
     (NegativeSlopeError, "negative-slope"),
     (UnsupportedSlopeError, "unsupported-slope"),
 ]

@@ -43,25 +43,28 @@ def _triangle_path(tri: FareyTriangle) -> str:
 
 
 def _tessellation(depth: int) -> list[FareyTriangle]:
-    """Triangles within the given dual-tree distance of the base triangle."""
+    """Triangles within the given dual-tree distance of the base triangle.
+
+    The dual graph is a tree: no triangle crosses back over the edge it
+    was reached across, the one opposite its newest vertex.
+    """
     start = base_triangle()
-    seen = {start.vertices}
-    frontier = [start]
+    frontier = [(start, None)]
     out = [start]
     for _ in range(depth):
         next_frontier = []
-        for tri in frontier:
+        for tri, newest in frontier:
             vs = tri.vertices
             for i in range(3):
                 u, w = vs[i], vs[(i + 1) % 3]
                 v = vs[(i + 2) % 3]
+                if v == newest:
+                    continue
                 total = Slope(u.p + w.p, u.q + w.q)
                 third = Slope(u.p - w.p, u.q - w.q) if total == v else total
                 neighbour = FareyTriangle((u, w, third))
-                if neighbour.vertices not in seen:
-                    seen.add(neighbour.vertices)
-                    next_frontier.append(neighbour)
-                    out.append(neighbour)
+                next_frontier.append((neighbour, third))
+                out.append(neighbour)
         frontier = next_frontier
     return out
 

@@ -147,13 +147,14 @@ def build_family(target: Slope) -> LinkFamily:
     for rep in (ONE,) + path.new_vertices:
         slopes, word = _representative(rep)
         matrix = word_to_matrix(word)
+        t = matrix.trace()
         orbits.append(
             OrbitRecord(
                 representative=rep,
                 slopes=slopes,
                 word=word,
-                trace=matrix.trace(),
-                length=geodesic_length(matrix),
+                trace=t,
+                length=geodesic_length(t),
                 discriminant=field_discriminant(matrix),
             )
         )
@@ -201,13 +202,13 @@ def volume_length_table(n_max: int) -> Iterator[VolumeRow]:
     cumulative = 0.0
     for n in range(1, n_max + 1):
         word = GeodesicWord(_tower_word(n))
-        matrix = word_to_matrix(word)
-        length = geodesic_length(matrix)
+        t = word_to_matrix(word).trace()
+        length = geodesic_length(t)
         cumulative += length
         yield VolumeRow(
             n=n,
             word=word,
-            trace=matrix.trace(),
+            trace=t,
             length=length,
             cumulative_length=cumulative,
         )

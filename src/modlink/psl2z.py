@@ -116,7 +116,8 @@ class CyclicWord:
     def from_canonical(cls, letters: str) -> "CyclicWord":
         """The word spelled by letters already known to be its least rotation.
 
-        The caller vouches for the spelling, so the word is never scanned.
+        The caller vouches for the spelling, so the word is never searched
+        for its least rotation; its alphabet is still checked.
         """
         word = cls(letters)
         object.__setattr__(word, "_canonical_letters", letters)
@@ -232,8 +233,8 @@ def _require_hyperbolic(t: int) -> None:
         raise EllipticError(f"trace {t} < 2 is elliptic or the identity")
 
 
-def trace_length(t: int) -> float:
-    """Translation length 2*ln((t + sqrt(t^2 - 4))/2) of a trace-t element.
+def geodesic_length(t: int) -> float:
+    """Length 2*ln((t + sqrt(t^2 - 4))/2) of the closed geodesic of trace t.
 
     Exact for any integer trace: beyond floating-point range the square
     root factor is 1 to double precision and ln of the unbounded integer
@@ -245,11 +246,6 @@ def trace_length(t: int) -> float:
         return 2.0 * math.log((x + math.sqrt(x * x - 4.0)) / 2.0)
     # (t + sqrt(t^2-4))/2 = t to within 1 part in t^2 here
     return 2.0 * math.log(t)
-
-
-def geodesic_length(m: MatrixPSL2Z) -> float:
-    """Length of the closed geodesic of a hyperbolic matrix."""
-    return trace_length(m.trace())
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -574,6 +570,7 @@ _DISCRIMINANT_CACHE_SIZE = 4096
 def field_discriminant(m: MatrixPSL2Z) -> int:
     """Squarefree d with Q(sqrt(trace^2 - 4)) = Q(sqrt(d)).
 
+    It takes the matrix because perfbench's traced run reads its trace.
     The eigenvalues (t +- sqrt(t^2 - 4))/2 generate this real quadratic
     field, and d is the product of the primes that divide exactly one
     of t - 2 and t + 2 to an odd power.  Factoring t - 2 and t + 2

@@ -1,11 +1,13 @@
 """Command-line interface tests.
 
-Exit code contract: 0 success, 2 malformed invocation (argparse level),
-an output that cannot be opened or written, or a command out of memory,
-3 well-formed input outside the mathematical domain, 130 with nothing
+Exit code contract: 0 success, 1 when ``cutting --check`` finds an
+oracle that disagrees, 2 malformed invocation (argparse level), an
+output that cannot be opened or written, or a command out of memory, 3
+well-formed input outside the mathematical domain, 130 with nothing
 printed on Ctrl-C, 141 with nothing printed when the reader closes the
 output pipe early.  All error text goes to stderr as a single
-"error: ..." line; stdout stays machine readable.
+"error: ..." line; stdout stays machine readable.  A broken invariant
+is a fault: main raises it rather than exit with a domain error.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -30,7 +33,9 @@ from hypothesis import example, given, settings, strategies as st
 from modlink import cli, farey, figures, links, psl2z
 from modlink.cli import main
 from modlink.farey import INFINITY, ONE, NotAChainError, Slope, farey_path
-from modlink.psl2z import least_rotation
+from modlink.psl2z import EllipticError, GeodesicWord, least_rotation
+
+from pinned_outputs import PINNED
 
 
 def run(capsys, *argv):
@@ -228,12 +233,23 @@ def test_census_jsonl(capsys):
     assert [r["target"] for r in rows] == ["1/1", "1/2", "1/3", "2/3"]
 
 
-def test_census_jsonl_file_matches_stdout(tmp_path, capsys):
-    code, out, err = run(capsys, "census", "--max-x", "4")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "3/2", "--json"),
+        ("census", "--max-x", "4", "--jsonl"),
+        ("table", "--n", "20", "--csv"),
+        ("svg-path", "3/2", "--out"),
+        ("svg-line", "3/2", "--out"),
+    ],
+    ids=["family-json", "census-jsonl", "table-csv", "svg-path-out", "svg-line-out"],
+)
+def test_an_output_file_gets_the_same_bytes_as_stdout(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "-")
     assert (code, err) == (0, "")
-    assert len(out.splitlines()) == 15
-    path = tmp_path / "census.jsonl"
-    code, file_out, err = run(capsys, "census", "--max-x", "4", "--jsonl", str(path))
+    assert out
+    path = tmp_path / "out"
+    code, file_out, err = run(capsys, *argv, str(path))
     assert (code, file_out, err) == (0, "", "")
     assert path.read_text() == out
 
@@ -327,39 +343,20 @@ def test_outputs_are_deterministic(capsys):
 
 @pytest.mark.parametrize(
     "argv, md5",
-    [
-        (("census", "--max-x", "7"), "8a10857b5d456e4c2a9570724c9b4c2c"),
-        (("census", "--max-x", "7", "--dedupe-mirror"),
-         "c673c8e15b4a771c43a81933ae3759da"),
-        (("family", "21/13", "--json", "-"), "eb4901556cf98e4226abe2cd46231309"),
-        (("family", "21/13"), "85e7494786879b9db094c28d15a999fc"),
-        (("table", "--n", "200"), "9fa2b36579594bb378c2238fbe29a8e2"),
-        (("census", "--max-x", "9"), "922b40a73a25e6692b69de308e242cfd"),
-        (("census", "--max-x", "9", "--dedupe-mirror"),
-         "65e39ea5855ab8fd5a3ecd045695b1d2"),
-        (("census", "--max-x", "10"), "83b758b881246673a1d70790972e35ba"),
-        (("table", "--n", "600"), "afeb5d6e454090d6d4e4e1418e7aa79c"),
-        (("table", "--n", "1600"), "fb8f34deb44458714ad1a9facad9cf79"),
-        (("svg-path", "3/2", "--out", "-"), "3f42d81a994e3fb257abd26749d76234"),
-        (("svg-line", "3/2", "--out", "-"), "2211db43d69ba2fc1a1e806a1b8bf1fa"),
-        (("word", "10007/7777"), "b854c6f4b33a8bbecd0b52c5f544a89b"),
-        (("cutting", "--check", "10007/7777"), "e555bd595d743ec82c9df6ba3b4fc525"),
-        (("slope-info", "3/2", "--json"), "66902f9edba070544c67427b0ac52b89"),
-        (("family", "89/55"), "6e6afab89830c85c9dfda92e11bf4706"),
-        (("family", "1/0"), "11abc9440c3bdd19c7e4b59f3bfca15d"),
-        (("family", "0/1", "--json", "-"), "792c6bf59159d9a7b6caa0d8f031cffb"),
-    ],
-    ids=[
-        "census-7", "census-7-dedupe", "family-json", "family-text", "table-200",
-        "census-9", "census-9-dedupe", "census-10", "table-600", "table-1600",
-        "svg-path", "svg-line", "word", "cutting-check", "slope-info-json",
-        "family-89-55", "family-1-0", "family-0-1-json",
-    ],
+    [(argv, md5) for argv, md5, _ in PINNED],
+    ids=[name for _, _, name in PINNED],
 )
 def test_outputs_are_byte_identical_to_the_pinned_digests(capsys, argv, md5):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+def test_a_disagreeing_oracle_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lr_geometric_oracle", lambda s: GeodesicWord("LR"))
+    code, out, err = run(capsys, "cutting", "--check", "3/2")
+    assert (code, err) == (1, "")
+    assert out.endswith("oracle-lr: mismatch\n")
 
 
 def test_cutting_output_slopes_reparse(capsys):
@@ -617,6 +614,18 @@ def test_a_broken_chain_is_a_fault_not_a_domain_error(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def test_an_elliptic_word_is_a_fault_not_a_domain_error(capsys, monkeypatch):
+    # every CLI word is a nonempty product of L and R, with trace >= 2, so
+    # an elliptic trace is a broken invariant, not input to exit 3 on
+    def broken(t):
+        raise EllipticError(f"trace {t}")
+
+    monkeypatch.setattr(cli, "geodesic_length", broken)
+    with pytest.raises(EllipticError):
+        main(["length", "LR"])
+    assert capsys.readouterr().err == ""
+
+
 # ------------------------------------------------------- the CLI contract
 
 # Sides, depths, rows and words stay small: each command must finish in
@@ -631,6 +640,12 @@ _SLOPE = st.one_of(
     st.builds("{}/{}".format, _SIDE, _SIDE), st.sampled_from(_ODD_TEXT)
 )
 _WORD = st.one_of(st.text("LR", max_size=16), st.sampled_from(_ODD_TEXT + ["LRX"]))
+
+
+# The one line of an exit 3: a slug that names the domain, then a detail.
+_DOMAIN_ERROR_LINE = (
+    r"error: (undefined-slope|parabolic|negative-slope|unsupported-slope): .+"
+)
 
 
 def _count(most: int):
@@ -691,3 +706,5 @@ def test_every_invocation_keeps_the_exit_and_stderr_contract(argv):
         del lines[0]
     assert len(lines) == (code != 0)
     assert all(line.startswith("error: ") for line in lines)
+    if code == 3:
+        assert re.fullmatch(_DOMAIN_ERROR_LINE, lines[0]), lines[0]

@@ -39,7 +39,7 @@ from modlink.links import (
     v_oct,
     volume_length_table,
 )
-from modlink.psl2z import GeodesicWord, least_rotation, trace_length
+from modlink.psl2z import GeodesicWord, geodesic_length, least_rotation
 from modlink.serialize import (
     family_text,
     family_to_dict,
@@ -161,7 +161,7 @@ def _family_invariants(fam: LinkFamily):
         assert not (set(record.slopes) & orbit_union)
         orbit_union |= set(record.slopes)
         assert record.word.canonical().letters == record.word.letters
-        assert record.length == pytest.approx(trace_length(record.trace))
+        assert record.length == pytest.approx(geodesic_length(record.trace))
     assert orbit_union == slopes
     chain = fam.slopes
     assert all(is_farey_neighbour(a, b) for a, b in zip(chain, chain[1:] + chain[:1]))
