@@ -3,10 +3,10 @@
 From a rational slope this package computes the shortest Farey triangle
 path, the rotation orbits of slopes it generates, the AB cutting
 sequences and LR words of the corresponding geodesics on the modular
-surface, their traces, lengths and quadratic fields, and the octahedral
-decomposition counts and volumes of the associated link complements.
-Every symbolic algorithm has an independent geometric oracle.  The
-oracles live in ``modlink.cutting`` and are not exported here.
+surface, their traces, lengths and quadratic fields (factored by
+``modlink.arith``), and the octahedral decomposition counts and volumes
+of the associated link complements.  Every symbolic algorithm has an
+independent geometric oracle; the oracles live in ``modlink.cutting``.
 """
 
 from .cutting import (

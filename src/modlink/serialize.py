@@ -1,7 +1,9 @@
 """Deterministic text, JSON and CSV serialization of reports.
 
 Real numbers are rounded to 12 significant digits with ties away from
-zero; identical inputs always serialize to identical bytes.  Traces are
+zero; identical inputs always serialize to identical bytes.  The computed
+double is rounded, so one within a few ulps of a rounding boundary can
+print one unit off the exact value in the 12th digit.  Traces are
 serialized as decimal strings because they outgrow every fixed-width
 integer type.  CSV lines are joined directly rather than through the
 csv module: every CSV field is made of digits, L, R, "." and "-", so

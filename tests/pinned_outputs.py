@@ -1,9 +1,10 @@
 """The pinned outputs: (argv, md5 of stdout, id) for commands that must not drift.
 
-Each command exits 0 with nothing on stderr, and its stdout hashes to the
-digest.  The module needs only the standard library, so that
-tools/check_pinned.py can check the digests on any supported Python, with
-or without pytest.
+Each command of PINNED exits 0 with nothing on stderr, and its stdout
+hashes to the digest.  Each of PINNED_ERRORS writes nothing to stdout
+and exits with the given code and exactly the given stderr.  The module
+needs only the standard library, so that tools/check_pinned.py can check
+both on any supported Python, with or without pytest.
 """
 
 PINNED = [
@@ -40,4 +41,19 @@ PINNED = [
      "length-12"),
     (("length", "LR" * 1000), "be85683a635deb4678d1006759487a7f",
      "length-lr-1000"),
+]
+
+# (argv, exit code, stderr).  The first five are argparse's errors, the
+# first two shaped by the private _negative_number_matcher the CLI sets;
+# the last two are domain errors.
+PINNED_ERRORS = [
+    (("word", "-.5"), 2,
+     "error: argument slope: malformed-slope: '-.5' is not 'p/q'\n"),
+    (("table", "--n", "-.5"), 2, "error: argument --n: malformed-integer: '-.5'\n"),
+    (("cutting", "0/1", "3/2"), 2, "error: unrecognized arguments: 3/2\n"),
+    (("table", "--n", "1_0"), 2, "error: argument --n: malformed-integer: '1_0'\n"),
+    (("census",), 2, "error: the following arguments are required: --max-x\n"),
+    (("length", "LL"), 3,
+     "error: parabolic: trace 2 is parabolic: no closed geodesic\n"),
+    (("family", "0/0"), 3, "error: undefined-slope: 0/0\n"),
 ]

@@ -35,7 +35,7 @@ from modlink.cli import main
 from modlink.farey import INFINITY, ONE, NotAChainError, Slope, farey_path
 from modlink.psl2z import EllipticError, GeodesicWord, least_rotation
 
-from pinned_outputs import PINNED
+from pinned_outputs import PINNED, PINNED_ERRORS
 
 
 def run(capsys, *argv):
@@ -597,6 +597,14 @@ def test_domain_errors_exit_3(capsys, argv, slug):
     assert err.startswith("error: ")
     assert slug in err
     assert len(err.rstrip("\n").splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code, err", PINNED_ERRORS,
+    ids=[" ".join(argv) for argv, _, _ in PINNED_ERRORS],
+)
+def test_error_lines_are_byte_identical_to_the_pinned_ones(capsys, argv, code, err):
+    assert run(capsys, *argv) == (code, "", err)
 
 
 # ----------------------------------------------------- invariant failures

@@ -13,7 +13,8 @@ reads or defines a private name that no package module uses, so a
 refactor leaves no leftovers behind.  The geometric oracles stay in
 ``cutting``, named only by the CLI and the figures.  Every import is
 relative or from the standard library, so the package has no runtime
-dependency.
+dependency, and ``arith`` imports from the standard library alone, so
+the number theory stays a leaf.
 """
 
 import ast
@@ -313,3 +314,19 @@ def test_package_imports_only_itself_and_the_standard_library():
         if name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_arith_imports_only_the_standard_library():
+    # the number theory is a leaf: no word, matrix or psl2z error class
+    # may reach it, relatively or through modlink
+    path = SOURCE / "arith.py"
+    tree = ast.parse(path.read_text(), str(path))
+    relative = [
+        f"arith.py:{node.lineno}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    outside = [
+        name for name in _absolute_imports(path)
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert (relative, outside) == ([], [])

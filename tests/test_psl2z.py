@@ -1,5 +1,9 @@
 """Matrix, cyclic-word, length and discriminant tests.
 
+The discriminant tests also test the primality and factoring helpers of
+modlink.arith, which field_discriminant reaches; newer tests of those
+helpers are in test_arith.py.
+
 Independent oracles used here: brute-force minimal rotation (all
 rotations, pick min) against the linear-time routine, an 80-digit
 Decimal evaluation of 2*ln((t + sqrt(t^2 - 4))/2) against the float
@@ -25,7 +29,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from modlink import psl2z
+from modlink import arith, psl2z
 from modlink.cutting import slope_to_word
 from modlink.farey import Slope
 from modlink.links import _tower_word, build_family
@@ -342,7 +346,7 @@ def test_trace_length_rejects_non_hyperbolic():
 
 
 def test_factorization_reconstructs_inputs():
-    from modlink.psl2z import _is_prime, _odd_primes
+    from modlink.arith import _is_prime, _odd_primes
 
     primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
     for p in range(2, 200):
@@ -381,7 +385,7 @@ _PSI_12 = _PSI[8]
 def test_is_prime_rejects_the_strong_pseudoprime_at_each_witness_bound():
     # psi_13 passes all 13 witnesses and lies where _is_prime no longer
     # claims a proof, so it is left out
-    from modlink.psl2z import _is_prime, _odd_primes
+    from modlink.arith import _is_prime, _odd_primes
 
     for psi in _PSI[:-1]:
         assert not sympy.isprime(psi)
@@ -408,14 +412,14 @@ _SMALLER_PRIMES = st.integers(2, 2**38).map(sympy.nextprime)
 @example(_PSI_12)
 @example(_PSI_12 - 2)
 def test_is_prime_agrees_with_sympy_below_2_80(n):
-    from modlink.psl2z import _is_prime
+    from modlink.arith import _is_prime
 
     assert _is_prime(n) == sympy.isprime(n)
 
 
 def test_factorize_matches_sympy_from_1_to_5000_and_across_1000():
     # trial division's primes stop at 997
-    from modlink.psl2z import _odd_primes
+    from modlink.arith import _odd_primes
 
     for n in (*range(1, 5001), 997 * 1009, 997**2, 1009**3, 2**64):
         assert _odd_primes(n) == _sympy_odd_primes(n), n
@@ -436,7 +440,7 @@ _PRIMES = st.integers(10**3, 999_999_937).map(lambda n: sympy.nextprime(n - 1))
     )
 )
 def test_factorize_matches_sympy(n):
-    from modlink.psl2z import _odd_primes
+    from modlink.arith import _odd_primes
 
     assert _odd_primes(n) == _sympy_odd_primes(n)
 
@@ -456,7 +460,7 @@ _LARGE_PRIMES = st.integers(2**28, 2**42 - 11).map(lambda n: sympy.nextprime(n -
 def test_factorize_products_of_large_primes(primes):
     # sympy draws the primes, so the factorization is known; factorint
     # itself spends about 0.5 s on each of these numbers
-    from modlink.psl2z import _odd_primes
+    from modlink.arith import _odd_primes
 
     odd = {p for p, e in collections.Counter(primes).items() if e % 2}
     assert _odd_primes(math.prod(primes)) == odd
@@ -464,7 +468,7 @@ def test_factorize_products_of_large_primes(primes):
 
 @pytest.mark.parametrize("bits", [31, 36])
 def test_factorize_prime_squares_and_cubes_above_2_30(bits):
-    from modlink.psl2z import _odd_primes
+    from modlink.arith import _odd_primes
 
     p = sympy.prevprime(2**bits)
     assert _odd_primes(p**2) == set()
@@ -477,7 +481,7 @@ def test_perfect_power_finds_high_prime_exponents_of_1009(k):
     # 1009, the least prime trial division leaves, has 9.98 bits, so
     # 1009^47 has 469 bits and 1009^53 has 529: fewer than 10 per unit
     # of exponent
-    from modlink.psl2z import _odd_primes, _perfect_power
+    from modlink.arith import _odd_primes, _perfect_power
 
     assert _perfect_power(1009**k) == (1009, k)
     assert _odd_primes(1009**k) == {1009}
@@ -487,7 +491,7 @@ def test_factorize_squares_and_cubes_of_primes_from_1009_to_5000():
     # among them 1249^2, 1277^2, 1249^3 and 1277^3, where rho finds no
     # factor and every ECM curve's gcd is n: only a perfect-power split
     # factors them
-    from modlink.psl2z import _odd_primes
+    from modlink.arith import _odd_primes
 
     for p in sympy.primerange(1009, 5001):
         assert _odd_primes(p**2) == set(), p
@@ -508,7 +512,7 @@ def _checked_odd_primes(n: int) -> set:
     n is unique, so this pins the set without sympy's factorint, which
     takes 1.8 s on _CENSUS_72_BIT alone.
     """
-    from modlink.psl2z import _odd_primes
+    from modlink.arith import _odd_primes
 
     odd = _odd_primes(n)
     assert [p for p in odd if not sympy.isprime(p)] == []
@@ -531,15 +535,15 @@ def test_ladder_multiples_add_up():
     for _ in range(200):
         x, z, a24 = (rng.randrange(1, n) for _ in range(3))
         b, a = sorted(rng.sample(range(1, 2**40), 2))
-        mult = functools.partial(psl2z._ladder, x=x, z=z, a24=a24, n=n)
+        mult = functools.partial(arith._ladder, x=x, z=z, a24=a24, n=n)
         assert same_point(mult(1), (x, z))
-        assert same_point(psl2z._add(mult(a), mult(b), mult(a - b), n), mult(a + b))
+        assert same_point(arith._add(mult(a), mult(b), mult(a - b), n), mult(a + b))
 
 
 def test_capped_rho_hands_the_72_bit_census_number_to_ecm():
     n = _CENSUS_72_BIT
-    assert psl2z._pollard_rho(n) is None
-    g = psl2z._ecm(n)
+    assert arith._pollard_rho(n) is None
+    g = arith._ecm(n)
     assert 1 < g < n and n % g == 0
     assert _checked_odd_primes(n) == {33414406429, 72861197861}
 
@@ -583,13 +587,11 @@ def test_field_discriminants_of_worked_classes():
 
 
 def test_field_discriminant_is_memoised_per_trace():
-    from modlink.psl2z import _trace_discriminant
-
     m1, m2 = word_to_matrix("LRLLRR"), word_to_matrix("LRRLLR")  # both trace 15
     first = field_discriminant(m1)
-    hits = _trace_discriminant.cache_info().hits
+    hits = arith.trace_discriminant.cache_info().hits
     assert field_discriminant(m1) == field_discriminant(m2) == first == 221
-    assert _trace_discriminant.cache_info().hits == hits + 2
+    assert arith.trace_discriminant.cache_info().hits == hits + 2
     for _ in range(3):
         with pytest.raises(ParabolicError):
             field_discriminant(word_to_matrix("LL"))
@@ -612,14 +614,14 @@ def test_field_discriminant_matches_direct_factorization():
 def test_field_discriminant_checks_itself(monkeypatch):
     # an _odd_primes that loses a prime gives a d whose cofactor in
     # t^2 - 4 is not a square: 15^2 - 4 = 13 * 17, and d would be 13
-    odd_primes = psl2z._odd_primes
-    monkeypatch.setattr(psl2z, "_odd_primes", lambda n: odd_primes(n) - {17})
-    psl2z._trace_discriminant.cache_clear()
+    odd_primes = arith._odd_primes
+    monkeypatch.setattr(arith, "_odd_primes", lambda n: odd_primes(n) - {17})
+    arith.trace_discriminant.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="trace 15: 13 "):
             field_discriminant(word_to_matrix("LRLLRR"))
     finally:
-        psl2z._trace_discriminant.cache_clear()
+        arith.trace_discriminant.cache_clear()
 
 
 @pytest.mark.parametrize("n", [500, 1000])
@@ -630,9 +632,9 @@ def test_perfect_square_cofactors_of_lr_powers_are_never_split(monkeypatch, n):
     def refuse(m):
         raise AssertionError(f"_ecm ran on a {m.bit_length()}-bit number")
 
-    monkeypatch.setattr(psl2z, "_ecm", refuse)
+    monkeypatch.setattr(arith, "_ecm", refuse)
     m = word_to_matrix("LR" * n)
-    assert psl2z._trace_discriminant.__wrapped__(m.trace()) == 5  # past the memo
+    assert arith.trace_discriminant.__wrapped__(m.trace()) == 5  # past the memo
     assert field_discriminant(m) == 5
 
 

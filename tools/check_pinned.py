@@ -1,12 +1,14 @@
-"""Check the pinned output digests without pytest.
+"""Check the pinned output digests and error lines without pytest.
 
 Usage: python tools/check_pinned.py
 
 Runs each command of tests/pinned_outputs.py through modlink.cli.main in
-this process, on this checkout's sources, and compares the md5 of its
-stdout with the pinned one.  Prints one line per command and exits 1
-if any command differs, fails or writes to stderr.  It needs only the
-standard library, so it runs on every Python the package supports.
+this process, on this checkout's sources.  A command of PINNED must exit
+0 with the pinned md5 of its stdout and nothing on stderr; one of
+PINNED_ERRORS must exit with its pinned code and stderr and nothing on
+stdout.  Prints one line per command and exits 1 if any differs.  It
+needs only the standard library, so it runs on every Python the package
+supports.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from modlink.cli import main  # noqa: E402
-from pinned_outputs import PINNED  # noqa: E402
+from pinned_outputs import PINNED, PINNED_ERRORS  # noqa: E402
+
+EMPTY_MD5 = hashlib.md5(b"").hexdigest()
 
 
 def run(argv: "tuple[str, ...]") -> "tuple[int, str, str]":
@@ -33,14 +37,18 @@ def run(argv: "tuple[str, ...]") -> "tuple[int, str, str]":
 
 
 def check() -> int:
+    cases = [(name, argv, (0, md5, "")) for argv, md5, name in PINNED]
+    cases += [
+        (" ".join(argv), argv, (code, EMPTY_MD5, err))
+        for argv, code, err in PINNED_ERRORS
+    ]
     failed = 0
-    for argv, md5, name in PINNED:
-        code, got, err = run(argv)
-        ok = (code, got, err) == (0, md5, "")
-        failed += not ok
-        verdict = "ok" if ok else f"FAIL exit {code}, md5 {got}, stderr {err!r}"
+    for name, argv, want in cases:
+        got = run(argv)
+        failed += got != want
+        verdict = "ok" if got == want else "FAIL exit %s, md5 %s, stderr %r" % got
         print(f"{name}: {verdict}")
-    print(f"python {sys.version.split()[0]}: {failed} of {len(PINNED)} commands differ")
+    print(f"python {sys.version.split()[0]}: {failed} of {len(cases)} commands differ")
     return 1 if failed else 0
 
 
