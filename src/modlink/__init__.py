@@ -10,7 +10,6 @@ independent geometric oracle; the oracles live in ``modlink.cutting``.
 """
 
 from .cutting import (
-    ABWord,
     UnsupportedSlopeError,
     ab_sequence,
     continued_fraction,
@@ -37,7 +36,6 @@ from .farey import (
 )
 from .links import (
     LinkFamily,
-    OctahedronCounts,
     OrbitRecord,
     VolumeRow,
     build_family,
@@ -60,7 +58,6 @@ from .psl2z import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABWord",
     "EllipticError",
     "FareyPath",
     "FareyTriangle",
@@ -72,7 +69,6 @@ __all__ = [
     "NotAChainError",
     "NotHyperbolicError",
     "NotNeighboursError",
-    "OctahedronCounts",
     "ONE",
     "OrbitRecord",
     "ParabolicError",

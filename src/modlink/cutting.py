@@ -7,9 +7,11 @@ word with q A's and p B's.  Reading cyclically consecutive letter pairs
 translates this to the LR word of the corresponding conjugacy class.
 Both words are built from the lower Christoffel word of p/q, spelled
 directly in its least rotation, so no rotation is ever searched for.
-Both steps have independent geometric simulations, written against the
+The AB word is a plain string; the LR word is a GeodesicWord.  Both
+steps have independent geometric simulations, written against the
 lattice itself with exact rational arithmetic, to check the symbolic
-algorithms.
+algorithms.  The AB simulation returns the least rotation of the word
+it reads, so that it compares to ab_sequence as a string.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .farey import INFINITY, ZERO, NegativeSlopeError, Slope
-from .psl2z import CyclicWord, GeodesicWord
+from .psl2z import GeodesicWord, least_rotation
 
 
 class UnsupportedSlopeError(ValueError):
@@ -40,19 +42,13 @@ def continued_fraction(s: Slope) -> tuple[int, ...]:
     return tuple(terms)
 
 
-class ABWord(CyclicWord):
-    """Cyclic crossing word over {A, B}: A vertical, B horizontal."""
-
-    _alphabet = frozenset("AB")
-
-
 def require_positive(s: Slope) -> None:
     """Raise UnsupportedSlopeError unless s = p/q with p, q >= 1."""
     if s.is_infinity or s.p <= 0:
         raise UnsupportedSlopeError(f"cutting sequence needs p, q >= 1, got {s}")
 
 
-def ab_sequence(s: Slope) -> ABWord:
+def ab_sequence(s: Slope) -> str:
     """Cutting sequence of slope p/q, p, q >= 1, as its lower Christoffel word.
 
     The lower Christoffel word, with q A's and p B's, is the least
@@ -72,7 +68,7 @@ def ab_sequence(s: Slope) -> ABWord:
             left += right * a
         else:
             right = left * a + right
-    return ABWord.from_canonical(left + right)
+    return left + right
 
 
 def ab_events(p: int, q: int) -> list[tuple[tuple[Fraction, Fraction], str]]:
@@ -88,30 +84,31 @@ def ab_events(p: int, q: int) -> list[tuple[tuple[Fraction, Fraction], str]]:
     return events
 
 
-def ab_sequence_geometric(s: Slope) -> ABWord:
-    """Crossing simulation of the line y = (p/q) x + eps over one period.
+def ab_sequence_geometric(s: Slope) -> str:
+    """Least rotation of the crossing word of y = (p/q) x + eps over one period.
 
     Events are the crossings with vertical lines x = k (letter A) and
     horizontal lines y = m (letter B) for x in (0, q].  Each crossing
     abscissa has the exact form x0 + c*eps; sorting the pairs (x0, c)
     lexicographically realizes the infinitesimal offset symbolically.
-    At the lattice corner this puts B just before A.
+    At the lattice corner this puts B just before A.  The word read
+    from x = 0 is rotated to its least rotation, the rotation that
+    ab_sequence spells.
     """
     require_positive(s)
-    return ABWord("".join(letter for _, letter in ab_events(s.p, s.q)))
+    return least_rotation("".join(letter for _, letter in ab_events(s.p, s.q)))
 
 
 _PAIR_RULE = {"AB": "L", "BA": "R", "AA": "RL", "BB": "LR"}
 
 
-def ab_to_lr(word: ABWord) -> GeodesicWord:
+def ab_to_lr(letters: str) -> GeodesicWord:
     """Translate cyclically consecutive crossing pairs to an LR word.
 
     A then B contributes L; B then A contributes R; a repeated letter
     contributes the two-letter turn (RL after A, LR after B).  The last
     letter pairs with the first.  Result is in canonical rotation.
     """
-    letters = word.letters
     n = len(letters)
     out = [_PAIR_RULE[letters[i] + letters[(i + 1) % n]] for i in range(n)]
     return GeodesicWord("".join(out)).canonical()
@@ -138,7 +135,7 @@ def slope_to_word(s: Slope) -> GeodesicWord:
         raise NegativeSlopeError(f"no LR word for negative slope {s}")
     if s in (ZERO, INFINITY):
         return GeodesicWord.from_canonical("LR")
-    body = ab_sequence(s).letters[:1:-1]  # U[:-2]
+    body = ab_sequence(s)[:1:-1]  # U[:-2]
     if s.p >= s.q:  # no AA: A -> L, B -> R before A, LR before B
         lr = "L" + body.replace("BA", "RA").replace("B", "LR").replace("A", "L")
     else:  # no BB: B -> R, A -> L before B, RL before A

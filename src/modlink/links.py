@@ -60,13 +60,6 @@ class OrbitRecord:
 
 
 @dataclass(frozen=True)
-class OctahedronCounts:
-    modular: int
-    ut_single: int
-    ut_both: int
-
-
-@dataclass(frozen=True)
 class LinkFamily:
     """The link family determined by one target slope.
 
@@ -87,12 +80,6 @@ class LinkFamily:
     def x(self) -> int:
         """Triangles in the Farey path, which is also the orbit count."""
         return self.path.x
-
-    @property
-    def counts(self) -> OctahedronCounts:
-        """x octahedra in the quotient, 3x and 6x in the two covers."""
-        x = self.x
-        return OctahedronCounts(modular=x, ut_single=3 * x, ut_both=6 * x)
 
     @property
     def volume_modular(self) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import ClassVar
 
 from .arith import trace_discriminant
 
@@ -97,23 +96,27 @@ def least_rotation(s: str) -> str:
     return s[i:] + s[:i]
 
 
+_ALPHABET = frozenset("LR")
+
+
 @dataclass(frozen=True, eq=False)
-class CyclicWord:
-    """A nonempty cyclic word; equality and hashing ignore rotation."""
+class GeodesicWord:
+    """Nonempty cyclic word over {L, R} naming a conjugacy class in PSL(2, Z).
+
+    Equality and hashing ignore rotation.
+    """
 
     letters: str
-
-    _alphabet: ClassVar[frozenset] = frozenset()
 
     def __post_init__(self):
         if not self.letters:
             raise ValueError("empty word")
-        bad = set(self.letters) - self._alphabet
+        bad = set(self.letters) - _ALPHABET
         if bad:
-            raise ValueError(f"letters {sorted(bad)} not in {sorted(self._alphabet)}")
+            raise ValueError(f"letters {sorted(bad)} not in {sorted(_ALPHABET)}")
 
     @classmethod
-    def from_canonical(cls, letters: str) -> "CyclicWord":
+    def from_canonical(cls, letters: str) -> "GeodesicWord":
         """The word spelled by letters already known to be its least rotation.
 
         The caller vouches for the spelling, so the word is never searched
@@ -127,7 +130,7 @@ class CyclicWord:
     def _canonical_letters(self) -> str:
         return least_rotation(self.letters)
 
-    def canonical(self) -> "CyclicWord":
+    def canonical(self) -> "GeodesicWord":
         """The representative spelled as the least rotation.
 
         The word itself when it is already so spelled; otherwise a new
@@ -137,24 +140,18 @@ class CyclicWord:
         return self if letters == self.letters else self.from_canonical(letters)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
+        if not isinstance(other, GeodesicWord):
             return NotImplemented
         return self._canonical_letters == other._canonical_letters
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._canonical_letters))
+        return hash(self._canonical_letters)
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
         return self.letters
-
-
-class GeodesicWord(CyclicWord):
-    """Cyclic word over {L, R} naming a conjugacy class in PSL(2, Z)."""
-
-    _alphabet = frozenset("LR")
 
 
 # Letters per block of word_to_matrix, and the block products its memo
@@ -188,7 +185,7 @@ def _product(m: "tuple[int, int, int, int]",
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def word_to_matrix(word: "GeodesicWord | str") -> MatrixPSL2Z:
+def word_to_matrix(word: GeodesicWord) -> MatrixPSL2Z:
     """Left-to-right product of L = (1 1; 0 1) and R = (1 0; 1 1) over the word.
 
     The word is cut into blocks of _BLOCK letters.  Each block's entries
@@ -210,8 +207,6 @@ def word_to_matrix(word: "GeodesicWord | str") -> MatrixPSL2Z:
     powers of L and R give matrices with nonnegative entries; the trace
     depends only on the rotation class.
     """
-    if isinstance(word, str):
-        word = GeodesicWord(word)
     letters = word.letters
     level = [
         _block_product(letters[start:start + _BLOCK])

@@ -56,11 +56,15 @@ CSV_HEADER = [
 
 
 def family_to_dict(family: LinkFamily) -> dict:
-    """JSON-ready dict for a link family, keys in fixed order."""
-    counts = family.counts
+    """JSON-ready dict for a link family, keys in fixed order.
+
+    The octahedron counts, x in the quotient and 3x and 6x in its two
+    covers, are written from x.
+    """
+    x = family.x
     return {
         "target": str(family.target),
-        "x": family.x,
+        "x": x,
         "slopes": [str(s) for s in family.slopes],
         "orbits": [
             {
@@ -73,11 +77,7 @@ def family_to_dict(family: LinkFamily) -> dict:
             }
             for record in family.orbits
         ],
-        "counts": {
-            "modular": counts.modular,
-            "ut_single": counts.ut_single,
-            "ut_both": counts.ut_both,
-        },
+        "counts": {"modular": x, "ut_single": 3 * x, "ut_both": 6 * x},
         "volume_modular": real12(family.volume_modular),
         "volume_paper_formula": real12(family.volume_alternative),
         "total_length": real12(family.total_length),
@@ -122,9 +122,10 @@ def report_to_csv(rows: Iterable[VolumeRow]) -> Iterator[str]:
 
 def family_text(family: LinkFamily) -> str:
     """Human-readable multi-line report for one family."""
+    x = family.x
     lines = [
         f"target: {family.target}",
-        f"x: {family.x}",
+        f"x: {x}",
         "slopes: " + " ".join(str(s) for s in family.slopes),
     ]
     for i, record in enumerate(family.orbits, start=1):
@@ -136,11 +137,7 @@ def family_text(family: LinkFamily) -> str:
             f" length {format_real(record.length)}"
             f" discriminant {record.discriminant}"
         )
-    lines.append(
-        f"counts: modular {family.counts.modular},"
-        f" ut-single {family.counts.ut_single},"
-        f" ut-both {family.counts.ut_both}"
-    )
+    lines.append(f"counts: modular {x}, ut-single {3 * x}, ut-both {6 * x}")
     lines.append(f"volume-modular: {format_real(family.volume_modular)}")
     lines.append(f"volume-paper-formula: {format_real(family.volume_alternative)}")
     lines.append(f"total-length: {format_real(family.total_length)}")

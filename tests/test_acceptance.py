@@ -11,7 +11,6 @@ import math
 from fractions import Fraction
 
 from modlink.cutting import (
-    ABWord,
     ab_sequence,
     ab_sequence_geometric,
     lr_geometric_oracle,
@@ -19,7 +18,12 @@ from modlink.cutting import (
 )
 from modlink.farey import ONE, Slope, farey_path, is_farey_neighbour, v_orbit
 from modlink.links import build_family, census, v_oct, volume_length_table
-from modlink.psl2z import GeodesicWord, field_discriminant, word_to_matrix
+from modlink.psl2z import (
+    GeodesicWord,
+    field_discriminant,
+    least_rotation,
+    word_to_matrix,
+)
 
 from test_farey import _as_key, bfs_farey_path
 from test_links import _family_invariants
@@ -50,9 +54,9 @@ def test_criterion_1_worked_word_examples():
         ("1/7", "LR" + "RL" * 6),
     ]:
         assert slope_to_word(Slope.parse(text)) == GeodesicWord(letters), text
-    assert ab_sequence(Slope(1, 2)) == ABWord("BAA")
+    assert ab_sequence(Slope(1, 2)) == least_rotation("BAA")
     for n in range(1, 11):
-        assert ab_sequence(Slope(1, n)) == ABWord("B" + "A" * n), n
+        assert ab_sequence(Slope(1, n)) == least_rotation("B" + "A" * n), n
     print("criterion 1: PASS - worked word and crossing-sequence examples")
 
 
@@ -78,14 +82,14 @@ def test_criterion_2_family_golden():
 
 
 def test_criterion_3_traces_lengths_fields():
-    assert word_to_matrix("LR").trace() == 3
-    assert word_to_matrix("LLRR").trace() == 6
-    assert word_to_matrix("LRLLRR").trace() == 15
-    assert word_to_matrix("LRRLLR").trace() == 15
-    assert field_discriminant(word_to_matrix("LR")) == 5
-    assert field_discriminant(word_to_matrix("LLRR")) == 2
-    assert field_discriminant(word_to_matrix("LRLLRR")) == 221
-    assert field_discriminant(word_to_matrix("LRRLLR")) == 221
+    for letters, trace, d in [
+        ("LR", 3, 5),
+        ("LLRR", 6, 2),
+        ("LRLLRR", 15, 221),
+        ("LRRLLR", 15, 221),
+    ]:
+        matrix = word_to_matrix(GeodesicWord(letters))
+        assert (matrix.trace(), field_discriminant(matrix)) == (trace, d), letters
     rows = volume_length_table(50)
     for row in rows:
         n, t = row.n, row.trace
@@ -126,7 +130,7 @@ def test_criterion_5_oracle_equivalence():
         s = Slope(p, q)
         ab = ab_sequence(s)
         assert ab == ab_sequence_geometric(s), s
-        assert (ab.letters.count("A"), ab.letters.count("B")) == (q, p), s
+        assert (ab.count("A"), ab.count("B")) == (q, p), s
         word = slope_to_word(s)
         assert word == lr_geometric_oracle(s), s
         mirror = slope_to_word(Slope(q, p))

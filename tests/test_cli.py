@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modlink import cli, farey, figures, links, psl2z
+from modlink import cli, cutting, farey, figures, links, psl2z
 from modlink.cli import main
 from modlink.farey import INFINITY, ONE, NotAChainError, Slope, farey_path
 from modlink.psl2z import EllipticError, GeodesicWord, least_rotation
@@ -142,7 +142,9 @@ def test_cutting_check_scans_each_word_once(capsys, monkeypatch):
         calls.append(len(s))
         return least_rotation(s)
 
+    # the AB oracle calls it through cutting's own binding
     monkeypatch.setattr(psl2z, "least_rotation", counting)
+    monkeypatch.setattr(cutting, "least_rotation", counting)
     code, out, err = run(capsys, "cutting", "10007/7777", "--check")
     assert (code, err) == (0, "")
     assert out.endswith("oracle-ab: match\noracle-lr: match\n")
@@ -352,11 +354,19 @@ def test_outputs_are_byte_identical_to_the_pinned_digests(capsys, argv, md5):
     assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
-def test_a_disagreeing_oracle_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "lr_geometric_oracle", lambda s: GeodesicWord("LR"))
+@pytest.mark.parametrize(
+    "oracle, wrong, verdicts",
+    [
+        ("ab_sequence_geometric", "AB", "oracle-ab: mismatch\noracle-lr: match\n"),
+        ("lr_geometric_oracle", GeodesicWord("LR"), "oracle-ab: match\noracle-lr: mismatch\n"),
+    ],
+    ids=["ab", "lr"],
+)
+def test_a_disagreeing_oracle_exits_1(capsys, monkeypatch, oracle, wrong, verdicts):
+    monkeypatch.setattr(cli, oracle, lambda s: wrong)
     code, out, err = run(capsys, "cutting", "--check", "3/2")
     assert (code, err) == (1, "")
-    assert out.endswith("oracle-lr: mismatch\n")
+    assert out.endswith(verdicts)
 
 
 def test_cutting_output_slopes_reparse(capsys):

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modlink.cutting import (
-    ABWord,
     UnsupportedSlopeError,
     ab_sequence,
     ab_sequence_geometric,
@@ -57,7 +56,7 @@ def _substitution_ab_word(s: Slope) -> str:
 def _oracle_words(s: Slope) -> tuple[str, str]:
     """Least rotations of the substitution AB word and of its pair reading."""
     ab = _substitution_ab_word(s)
-    return least_rotation(ab), least_rotation(ab_to_lr(ABWord(ab)).letters)
+    return least_rotation(ab), least_rotation(ab_to_lr(ab).letters)
 
 
 # --------------------------------------------------- continued fractions
@@ -97,27 +96,27 @@ def test_continued_fraction_rejects_out_of_range():
 
 
 def test_ab_worked_examples():
-    assert ab_sequence(ONE) == ABWord("AB")
-    assert ab_sequence(Slope(1, 2)) == ABWord("BAA")
-    assert ab_sequence(Slope(2, 1)) == ABWord("ABB")
-    assert ab_sequence(Slope(3, 2)) == ABWord("BABBA")
+    assert ab_sequence(ONE) == least_rotation("AB")
+    assert ab_sequence(Slope(1, 2)) == least_rotation("BAA")
+    assert ab_sequence(Slope(2, 1)) == least_rotation("ABB")
+    assert ab_sequence(Slope(3, 2)) == least_rotation("BABBA")
     for n in range(1, 11):
-        assert ab_sequence(Slope(1, n)) == ABWord("B" + "A" * n)
+        assert ab_sequence(Slope(1, n)) == least_rotation("B" + "A" * n)
 
 
 def test_ab_is_the_lower_christoffel_word():
-    assert ab_sequence(ONE).letters == "AB"
-    assert ab_sequence(Slope(1, 2)).letters == "AAB"
-    assert ab_sequence(Slope(3, 2)).letters == "ABABB"
-    assert ab_sequence(Slope(2, 5)).letters == "AAABAAB"
-    assert ab_sequence(Slope(5, 2)).letters == "ABBABBB"
+    assert ab_sequence(ONE) == "AB"
+    assert ab_sequence(Slope(1, 2)) == "AAB"
+    assert ab_sequence(Slope(3, 2)) == "ABABB"
+    assert ab_sequence(Slope(2, 5)) == "AAABAAB"
+    assert ab_sequence(Slope(5, 2)) == "ABBABBB"
 
 
 def test_words_spell_the_least_rotation_of_the_substitution_oracle():
     for p, q in _reduced_positive(120):
         s = Slope(p, q)
         ab, lr = _oracle_words(s)
-        assert ab_sequence(s).letters == ab, s
+        assert ab_sequence(s) == ab, s
         assert slope_to_word(s).letters == lr, s
 
 
@@ -125,7 +124,7 @@ def test_words_spell_the_least_rotation_of_the_geometric_oracles():
     for p, q in _reduced_positive(30):
         s = Slope(p, q)
         ab, lr = _oracle_words(s)
-        assert ab_sequence(s).letters == least_rotation(ab_sequence_geometric(s).letters) == ab
+        assert ab_sequence(s) == ab_sequence_geometric(s) == ab
         assert slope_to_word(s).letters == least_rotation(lr_geometric_oracle(s).letters) == lr
 
 
@@ -138,15 +137,15 @@ def test_words_spell_the_least_rotation_of_the_geometric_oracles():
 def test_long_words_spell_the_least_rotation_of_the_substitution_oracle(p, q):
     g = math.gcd(p, q)
     s = Slope(p // g, q // g)
-    assert (ab_sequence(s).letters, slope_to_word(s).letters) == _oracle_words(s)
+    assert (ab_sequence(s), slope_to_word(s).letters) == _oracle_words(s)
 
 
 def test_ab_letter_counts_are_crossing_counts():
     # q vertical crossings (A) and p horizontal crossings (B) per period
     for p, q in _reduced_positive(30):
         word = ab_sequence(Slope(p, q))
-        assert word.letters.count("A") == q
-        assert word.letters.count("B") == p
+        assert word.count("A") == q
+        assert word.count("B") == p
         assert len(word) == p + q
 
 
@@ -154,12 +153,6 @@ def test_ab_matches_geometric_oracle():
     for p, q in _reduced_positive(30):
         s = Slope(p, q)
         assert ab_sequence(s) == ab_sequence_geometric(s), s
-
-
-def test_ab_word_validation():
-    with pytest.raises(ValueError):
-        ABWord("ABX")
-    assert ABWord("ABBAB") == ABWord("BABAB")
 
 
 def test_ab_rejects_slopes_off_the_open_quadrant():
@@ -176,10 +169,10 @@ def test_ab_rejects_slopes_off_the_open_quadrant():
 
 
 def test_ab_to_lr_pair_rule():
-    assert ab_to_lr(ABWord("AB")) == GeodesicWord("LR")
-    assert ab_to_lr(ABWord("ABB")) == GeodesicWord("LLRR")
-    assert ab_to_lr(ABWord("BAA")) == GeodesicWord("LLRR")
-    assert ab_to_lr(ABWord("BABBA")) == GeodesicWord("LRLLRR")
+    assert ab_to_lr("AB") == GeodesicWord("LR")
+    assert ab_to_lr("ABB") == GeodesicWord("LLRR")
+    assert ab_to_lr("BAA") == GeodesicWord("LLRR")
+    assert ab_to_lr("BABBA") == GeodesicWord("LRLLRR")
 
 
 def test_lr_worked_examples():

@@ -112,7 +112,7 @@ def test_family_three_halves_golden():
     assert _strs(fam.orbits[0].slopes) == ["0/1", "1/1", "1/0"]
     assert _strs(fam.orbits[1].slopes) == ["-1/1", "1/2", "2/1"]
     assert _strs(fam.orbits[2].slopes) == ["-2/1", "1/3", "3/2"]
-    assert (fam.counts.modular, fam.counts.ut_single, fam.counts.ut_both) == (3, 9, 18)
+    assert family_to_dict(fam)["counts"] == {"modular": 3, "ut_single": 9, "ut_both": 18}
     assert fam.volume_modular == pytest.approx(3 * V_OCT_REFERENCE, abs=1e-12)
     assert fam.volume_alternative == pytest.approx(fam.volume_modular / 2)
     assert fam.total_length == pytest.approx(sum(r.length for r in fam.orbits))
@@ -131,7 +131,7 @@ def test_family_one_is_the_single_octahedron_anchor():
     assert fam.orbits[0].trace == 3
     assert fam.orbits[0].discriminant == 5
     assert fam.volume_modular == pytest.approx(V_OCT_REFERENCE, abs=1e-12)
-    assert (fam.counts.modular, fam.counts.ut_single, fam.counts.ut_both) == (1, 3, 6)
+    assert family_to_dict(fam)["counts"] == {"modular": 1, "ut_single": 3, "ut_both": 6}
 
 
 def test_family_accepts_all_base_targets():
@@ -165,8 +165,8 @@ def _family_invariants(fam: LinkFamily):
     assert orbit_union == slopes
     chain = fam.slopes
     assert all(is_farey_neighbour(a, b) for a, b in zip(chain, chain[1:] + chain[:1]))
-    counts = fam.counts
-    assert (counts.modular, counts.ut_single, counts.ut_both) == (x, 3 * x, 6 * x)
+    counts = family_to_dict(fam)["counts"]
+    assert counts == {"modular": x, "ut_single": 3 * x, "ut_both": 6 * x}
     assert fam.volume_modular == pytest.approx(x * V_OCT_REFERENCE, rel=1e-12)
     assert fam.total_length == pytest.approx(sum(r.length for r in fam.orbits))
 

@@ -34,7 +34,6 @@ from modlink.cutting import slope_to_word
 from modlink.farey import Slope
 from modlink.links import _tower_word, build_family
 from modlink.psl2z import (
-    CyclicWord,
     EllipticError,
     GeodesicWord,
     MatrixPSL2Z,
@@ -68,6 +67,11 @@ def _generator_product(letters: str) -> MatrixPSL2Z:
     return MatrixPSL2Z(*functools.reduce(_mul, entries, (1, 0, 0, 1)))
 
 
+def _matrix(letters: str) -> MatrixPSL2Z:
+    """word_to_matrix of the word spelled by letters."""
+    return word_to_matrix(GeodesicWord(letters))
+
+
 def _sympy_odd_primes(n: int) -> set:
     """The primes dividing n >= 1 to an odd power, by sympy."""
     return {p for p, e in sympy.factorint(n).items() if e % 2}
@@ -94,13 +98,13 @@ def test_matrix_validation_and_sign_normalization():
 
 
 def test_worked_matrices_and_traces():
-    lr = word_to_matrix("LR")
+    lr = _matrix("LR")
     assert (lr.a, lr.b, lr.c, lr.d) == (2, 1, 1, 1)
-    llrr = word_to_matrix("LLRR")
+    llrr = _matrix("LLRR")
     assert (llrr.a, llrr.b, llrr.c, llrr.d) == (5, 2, 2, 1)
-    m1 = word_to_matrix("LRLLRR")
+    m1 = _matrix("LRLLRR")
     assert (m1.a, m1.b, m1.c, m1.d) == (12, 5, 7, 3)
-    m2 = word_to_matrix("LRRLLR")
+    m2 = _matrix("LRRLLR")
     assert (m2.a, m2.b, m2.c, m2.d) == (10, 7, 7, 5)
     assert lr.trace() == 3
     assert llrr.trace() == 6
@@ -112,10 +116,10 @@ def test_worked_matrices_and_traces():
 def test_word_products_associate_through_any_split(letters):
     if not letters:
         return
-    whole = word_to_matrix(letters)
+    whole = _matrix(letters)
     for cut in range(1, len(letters)):
-        left = word_to_matrix(letters[:cut])
-        right = word_to_matrix(letters[cut:])
+        left = _matrix(letters[:cut])
+        right = _matrix(letters[cut:])
         assert MatrixPSL2Z(*_mul(_entries(left), _entries(right))) == whole
 
 
@@ -132,7 +136,7 @@ _WORD_LENGTHS = st.one_of(
 
 @given(_WORD_LENGTHS.flatmap(_words_of_length))
 def test_word_to_matrix_matches_generator_product(letters):
-    assert word_to_matrix(letters) == _generator_product(letters)
+    assert _matrix(letters) == _generator_product(letters)
 
 
 @given(
@@ -142,7 +146,7 @@ def test_word_to_matrix_matches_generator_product(letters):
 def test_word_to_matrix_on_periodic_words(period, length):
     # repeated blocks are served from the block memo
     letters = (period * (length // len(period) + 1))[:length]
-    assert word_to_matrix(letters) == _generator_product(letters)
+    assert _matrix(letters) == _generator_product(letters)
 
 
 def test_block_memo_is_bounded_by_its_cap():
@@ -154,7 +158,7 @@ def test_block_memo_is_bounded_by_its_cap():
     sizes = []
     for start in range(0, len(blocks), 8):
         letters = "".join(blocks[start:start + 8])
-        assert word_to_matrix(letters) == _generator_product(letters)
+        assert _matrix(letters) == _generator_product(letters)
         sizes.append(psl2z._block_product.cache_info().currsize)
     assert max(sizes) == cap == sizes[-1]
 
@@ -179,21 +183,21 @@ def test_long_tower_word_trace_by_repeated_squaring():
     assert len(letters) == 2 * n
     llrr = _entries(_generator_product("LLRR"))
     a, _, _, d = _mul(llrr, _matrix_power(_entries(_generator_product("LR")), n - 2))
-    assert word_to_matrix(letters).trace() == a + d
+    assert _matrix(letters).trace() == a + d
 
 
 def test_word_to_matrix_matches_generator_product_on_a_long_word():
     letters = slope_to_word(Slope(10007, 7777)).letters
     assert len(letters) == 20014
-    assert word_to_matrix(letters) == _generator_product(letters)
+    assert _matrix(letters) == _generator_product(letters)
 
 
 def test_trace_is_rotation_invariant_for_all_short_words():
     for n in range(2, 11):
         for letters in map("".join, itertools.product("LR", repeat=n)):
-            t = word_to_matrix(letters).trace()
+            t = _matrix(letters).trace()
             for k in range(1, n):
-                assert word_to_matrix(letters[k:] + letters[:k]).trace() == t
+                assert _matrix(letters[k:] + letters[:k]).trace() == t
 
 
 # ---------------------------------------------------------- cyclic words
@@ -256,8 +260,6 @@ def test_cyclic_word_semantics():
         GeodesicWord("LRX")
     with pytest.raises(ValueError):
         GeodesicWord("")
-    with pytest.raises(ValueError):
-        CyclicWord("L")  # base class admits no letters
 
 
 def test_canonical_word_is_never_rescanned(monkeypatch):
@@ -297,9 +299,9 @@ def test_word_from_canonical_letters_is_never_scanned(monkeypatch):
 
 def test_power_words_are_parabolic():
     for letters in ["L", "R", "LLL", "RRRR"]:
-        assert word_to_matrix(letters).trace() == 2
+        assert _matrix(letters).trace() == 2
         with pytest.raises(ParabolicError):
-            geodesic_length(word_to_matrix(letters).trace())
+            geodesic_length(_matrix(letters).trace())
 
 
 # --------------------------------------------------------------- lengths
@@ -578,23 +580,23 @@ def test_family_89_55_discriminants_match_checked_factorizations():
 
 
 def test_field_discriminants_of_worked_classes():
-    assert field_discriminant(word_to_matrix("LR")) == 5
-    assert field_discriminant(word_to_matrix("LLRR")) == 2
-    assert field_discriminant(word_to_matrix("LRLLRR")) == 221
-    assert field_discriminant(word_to_matrix("LRRLLR")) == 221
+    assert field_discriminant(_matrix("LR")) == 5
+    assert field_discriminant(_matrix("LLRR")) == 2
+    assert field_discriminant(_matrix("LRLLRR")) == 221
+    assert field_discriminant(_matrix("LRRLLR")) == 221
     with pytest.raises(ParabolicError):
-        field_discriminant(word_to_matrix("L"))
+        field_discriminant(_matrix("L"))
 
 
 def test_field_discriminant_is_memoised_per_trace():
-    m1, m2 = word_to_matrix("LRLLRR"), word_to_matrix("LRRLLR")  # both trace 15
+    m1, m2 = _matrix("LRLLRR"), _matrix("LRRLLR")  # both trace 15
     first = field_discriminant(m1)
     hits = arith.trace_discriminant.cache_info().hits
     assert field_discriminant(m1) == field_discriminant(m2) == first == 221
     assert arith.trace_discriminant.cache_info().hits == hits + 2
     for _ in range(3):
         with pytest.raises(ParabolicError):
-            field_discriminant(word_to_matrix("LL"))
+            field_discriminant(_matrix("LL"))
         with pytest.raises(EllipticError):
             field_discriminant(V)  # trace 1
         with pytest.raises(EllipticError):
@@ -604,7 +606,7 @@ def test_field_discriminant_is_memoised_per_trace():
 def test_field_discriminant_matches_direct_factorization():
     for n in range(2, 9):
         for letters in map("".join, itertools.product("LR", repeat=n)):
-            m = word_to_matrix(letters)
+            m = _matrix(letters)
             t = m.trace()
             if t <= 2:
                 continue
@@ -619,7 +621,7 @@ def test_field_discriminant_checks_itself(monkeypatch):
     arith.trace_discriminant.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="trace 15: 13 "):
-            field_discriminant(word_to_matrix("LRLLRR"))
+            field_discriminant(_matrix("LRLLRR"))
     finally:
         arith.trace_discriminant.cache_clear()
 
@@ -633,7 +635,7 @@ def test_perfect_square_cofactors_of_lr_powers_are_never_split(monkeypatch, n):
         raise AssertionError(f"_ecm ran on a {m.bit_length()}-bit number")
 
     monkeypatch.setattr(arith, "_ecm", refuse)
-    m = word_to_matrix("LR" * n)
+    m = _matrix("LR" * n)
     assert arith.trace_discriminant.__wrapped__(m.trace()) == 5  # past the memo
     assert field_discriminant(m) == 5
 
@@ -658,7 +660,7 @@ def test_parity_factorization_gives_the_squarefree_part(r, k, s):
 def test_big_trace_discriminant_uses_split_factorization():
     # gcd(t-2, t+2) divides 4, so the squarefree parts of the two factors
     # can only share the prime 2; merging divides out its square.
-    m = word_to_matrix("LR" + "RL" * 26)
+    m = _matrix("LR" + "RL" * 26)
     t = m.trace()
     assert t > 10**11
     a, b = _squarefree_part(t - 2), _squarefree_part(t + 2)
