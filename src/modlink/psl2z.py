@@ -103,16 +103,22 @@ _ALPHABET = frozenset("LR")
 class GeodesicWord:
     """Nonempty cyclic word over {L, R} naming a conjugacy class in PSL(2, Z).
 
-    Equality and hashing ignore rotation.
+    Equality and hashing ignore rotation.  Letters that are not a str
+    raise TypeError; an empty word, or a letter other than L and R,
+    raises ValueError.
     """
 
     letters: str
 
     def __post_init__(self):
-        if not self.letters:
+        letters = self.letters
+        if not isinstance(letters, str):
+            raise TypeError(f"letters must be a str, not {type(letters).__name__}")
+        if not letters:
             raise ValueError("empty word")
-        bad = set(self.letters) - _ALPHABET
-        if bad:
+        # str.count runs in C, several times faster than a set of every letter
+        if letters.count("L") + letters.count("R") != len(letters):
+            bad = set(letters) - _ALPHABET
             raise ValueError(f"letters {sorted(bad)} not in {sorted(_ALPHABET)}")
 
     @classmethod

@@ -43,9 +43,10 @@ PINNED = [
      "length-lr-1000"),
 ]
 
-# (argv, exit code, stderr).  The first five are argparse's errors, the
-# first two shaped by the private _negative_number_matcher the CLI sets;
-# the last two are domain errors.
+# (argv, exit code, stderr).  The first eight are argparse's errors, the
+# first two shaped by the private _negative_number_matcher the CLI sets
+# and the next three words that fail GeodesicWord's letter check; the
+# last two are domain errors.
 PINNED_ERRORS = [
     (("word", "-.5"), 2,
      "error: argument slope: malformed-slope: '-.5' is not 'p/q'\n"),
@@ -53,6 +54,12 @@ PINNED_ERRORS = [
     (("cutting", "0/1", "3/2"), 2, "error: unrecognized arguments: 3/2\n"),
     (("table", "--n", "1_0"), 2, "error: argument --n: malformed-integer: '1_0'\n"),
     (("census",), 2, "error: the following arguments are required: --max-x\n"),
+    (("length", "LRX"), 2,
+     "error: argument word: malformed-word: 'LRX' is not a nonempty word over L, R\n"),
+    (("length", ""), 2,
+     "error: argument word: malformed-word: '' is not a nonempty word over L, R\n"),
+    (("length", "lr"), 2,
+     "error: argument word: malformed-word: 'lr' is not a nonempty word over L, R\n"),
     (("length", "LL"), 3,
      "error: parabolic: trace 2 is parabolic: no closed geodesic\n"),
     (("family", "0/0"), 3, "error: undefined-slope: 0/0\n"),

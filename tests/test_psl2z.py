@@ -262,6 +262,45 @@ def test_cyclic_word_semantics():
         GeodesicWord("")
 
 
+def _set_check_error(s):
+    """The ValueError text of the set-based letter check, or None if s is a word."""
+    if not s:
+        return "empty word"
+    bad = set(s) - {"L", "R"}
+    return f"letters {sorted(bad)} not in ['L', 'R']" if bad else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.text(alphabet="LR"),
+    st.text(alphabet="LRlr\uff2c\x00\u0301"),
+))
+@example("l")
+@example("r")
+@example("\uff2c")  # fullwidth L
+@example("LR\x00")
+@example("L\u0301R")  # L with a combining acute accent
+@example("RRRL")
+def test_letter_check_agrees_with_the_set_oracle(s):
+    want = _set_check_error(s)
+    if want is None:
+        assert GeodesicWord(s).letters == s
+        return
+    with pytest.raises(ValueError) as info:
+        GeodesicWord(s)
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize("letters", [["L", "R"], ("L", "R"), b"LR", None, 7])
+def test_non_str_letters_are_a_type_error(letters):
+    name = type(letters).__name__
+    with pytest.raises(TypeError, match=f"not {name}$"):
+        GeodesicWord(letters)
+    with pytest.raises(TypeError, match=f"not {name}$"):
+        GeodesicWord.from_canonical(letters)
+
+
 def test_canonical_word_is_never_rescanned(monkeypatch):
     calls = []
 
