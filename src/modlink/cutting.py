@@ -5,13 +5,15 @@ lattice points by an infinitesimal upward shift, crosses vertical lines
 (letter A) and horizontal lines (letter B); one period gives a cyclic
 word with q A's and p B's.  Reading cyclically consecutive letter pairs
 translates this to the LR word of the corresponding conjugacy class.
-Both words are built from the lower Christoffel word of p/q, spelled
-directly in its least rotation, so no rotation is ever searched for.
-The AB word is a plain string; the LR word is a GeodesicWord.  Both
-steps have independent geometric simulations, written against the
-lattice itself with exact rational arithmetic, to check the symbolic
-algorithms.  The AB simulation returns the least rotation of the word
-it reads, so that it compares to ab_sequence as a string.
+The AB word, a plain string, is the lower Christoffel word of p/q.  The
+LR word, a GeodesicWord, is spelled from the same continued-fraction
+walk, each factor carrying only its pair reading, with no AB word in
+between.  Both come out in their least rotations, so no rotation is
+ever searched for.  Both steps have independent geometric simulations,
+written against the lattice itself with exact rational arithmetic, to
+check the symbolic algorithms.  The AB simulation returns the least
+rotation of the word it reads, so that it compares to ab_sequence as a
+string.
 """
 
 from __future__ import annotations
@@ -114,19 +116,50 @@ def ab_to_lr(letters: str) -> GeodesicWord:
     return GeodesicWord("".join(out)).canonical()
 
 
+_A, _B = ("A", "A", ""), ("B", "B", "")
+
+
+def _concat(x, y):
+    """Factor x followed by factor y; None is the empty factor.
+
+    A factor is (first letter, last letter, pair reading): the pair rule
+    of ab_to_lr applied to each letter and the next one inside it.  The
+    join adds one pair, the last letter of x with the first of y.
+    """
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return x[0], y[1], "".join((x[2], _PAIR_RULE[x[1] + y[0]], y[2]))
+
+
+def _power(x, a):
+    """Factor x repeated a >= 1 times."""
+    if a == 1:
+        return x
+    first, last, pairs = x
+    return first, last, (pairs + _PAIR_RULE[last + first]) * (a - 1) + pairs
+
+
 def slope_to_word(s: Slope) -> GeodesicWord:
-    """Canonical LR word of a nonnegative slope, read off its Christoffel word.
+    """Canonical LR word of a nonnegative slope, spelled from its continued fraction.
 
     The upper Christoffel word U, the reverse of the lower one (Berstel
     et al., cited at ab_sequence), is a rotation of the cutting sequence
-    that starts with B and ends with BA (p >= q) or AA (p < q).  The
-    pair rule of ab_to_lr reads U[:-2] as a plain string, since each of
-    its letters is followed inside U.  The last two letters, whose final
-    A is followed cyclically by the leading B, read RL (from BA) or RLL
-    (from AA); moving that final L, or LL, to the front gives the least
-    rotation.  As one pair never occurs (AA when p >= q, BB when p < q),
-    the pair rule is three string replacements.  The tests check the
-    rule letter for letter against least_rotation(ab_to_lr(...)).
+    that starts with B and ends with BA (p >= q) or AA (p < q).  Let P(w)
+    be the pair rule of ab_to_lr applied to each letter of w and the next
+    one inside w.  Read cyclically, U gives P(U[:-1]), then R (from BA)
+    or RL (from AA), then L (its final A before its leading B); moving
+    that final L, or LL, to the front gives the least rotation.
+
+    U is built by ab_sequence's walk run on the reversed factors:
+    rev_left = rev_right^a + rev_left at an even index, rev_right =
+    rev_right + rev_left^a at an odd one, and U = rev_right + rev_left.
+    Each factor carries only its first letter, last letter and P, so no
+    AB word is spelled, and rev_left is carried without the A it ends
+    with, so that U[:-1] needs no slice.  The word is joined once from
+    the two factors.  The tests check it letter for letter against
+    least_rotation(ab_to_lr(...)).
 
     The two degenerate slopes 0/1 and 1/0 share the word LR with 1/1
     (all three lie in one rotation orbit).
@@ -135,12 +168,20 @@ def slope_to_word(s: Slope) -> GeodesicWord:
         raise NegativeSlopeError(f"no LR word for negative slope {s}")
     if s in (ZERO, INFINITY):
         return GeodesicWord.from_canonical("LR")
-    body = ab_sequence(s)[:1:-1]  # U[:-2]
-    if s.p >= s.q:  # no AA: A -> L, B -> R before A, LR before B
-        lr = "L" + body.replace("BA", "RA").replace("B", "LR").replace("A", "L")
-    else:  # no BB: B -> R, A -> L before B, RL before A
-        lr = "LL" + body.replace("AB", "LB").replace("A", "RL").replace("B", "R")
-    return GeodesicWord.from_canonical(lr + "R")
+    *head, last = continued_fraction(s)
+    right, left = _B, None  # rev_right; rev_left without its final A
+    for i, a in enumerate((*head, last - 1)):
+        if not a:
+            continue
+        if i % 2 == 0:
+            left = _concat(_power(right, a), left)
+        else:
+            right = _concat(right, _power(_concat(left, _A), a))
+    parts = ["L" if s.p >= s.q else "LL", right[2]]
+    if left is not None:
+        parts += (_PAIR_RULE[right[1] + left[0]], left[2])
+    parts.append("R")
+    return GeodesicWord.from_canonical("".join(parts))
 
 
 def lr_events(

@@ -26,6 +26,16 @@ PINNED = [
     (("svg-line", "3/2", "--out", "-"), "2211db43d69ba2fc1a1e806a1b8bf1fa",
      "svg-line"),
     (("word", "10007/7777"), "b854c6f4b33a8bbecd0b52c5f544a89b", "word"),
+    # the branches word 10007/7777 leaves open: p < q, all digits 1 (the
+    # Fibonacci slopes, both ways round) and a single long digit
+    (("word", "7777/10007"), "31b5b798511dc72db7de2c5eef063a2b",
+     "word-7777-10007"),
+    (("word", "10946/17711"), "1798c5e11bd92e091b2c40e51f1257b3",
+     "word-10946-17711"),
+    (("word", "17711/10946"), "69636763234d86f29d106ca26992b227",
+     "word-17711-10946"),
+    (("word", "1/20000"), "abdd82d3bffbe691d4745014b242e422", "word-1-20000"),
+    (("word", "20000/1"), "19dab84b9b0e7a0ca17e612a513708f7", "word-20000-1"),
     (("cutting", "--check", "10007/7777"), "e555bd595d743ec82c9df6ba3b4fc525",
      "cutting-check"),
     (("slope-info", "3/2", "--json"), "66902f9edba070544c67427b0ac52b89",

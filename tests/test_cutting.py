@@ -5,15 +5,19 @@ which simulate a line of slope p/q crossing the integer grid (and the
 diagonals y = x + c) using exact Fraction arithmetic, and letter for
 letter against the construction they replaced: the AB word by digit
 substitution, read pair by pair with ab_to_lr, then rotated by
-least_rotation.
+least_rotation.  The LR word is also checked to be spelled with no AB
+word and no rotation search, within 3.5 bytes of memory a letter.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from modlink import cutting, psl2z
+from modlink.cli import main
 from modlink.cutting import (
     UnsupportedSlopeError,
     ab_sequence,
@@ -134,6 +138,9 @@ def test_words_spell_the_least_rotation_of_the_geometric_oracles():
 @example(19999, 20000)
 @example(1, 20000)
 @example(17711, 10946)  # consecutive Fibonacci numbers: all digits 1
+@example(10946, 17711)
+@example(7777, 10007)
+@example(20000, 1)
 def test_long_words_spell_the_least_rotation_of_the_substitution_oracle(p, q):
     g = math.gcd(p, q)
     s = Slope(p // g, q // g)
@@ -221,6 +228,36 @@ def test_lr_constant_on_v_orbits():
             continue
         assert len(others) == 1
         assert slope_to_word(others[0]) == slope_to_word(s), s
+
+
+_LONG_SLOPES = (Slope(10007, 7777), Slope(7777, 10007), Slope(1, 20000), Slope(20000, 1))
+
+
+def test_lr_words_spell_no_ab_word_and_search_no_rotation(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("slope_to_word spelled an AB word or searched a rotation")
+
+    for module, name in ((cutting, "ab_sequence"), (cutting, "ab_to_lr"),
+                         (cutting, "least_rotation"), (psl2z, "least_rotation")):
+        monkeypatch.setattr(module, name, refuse)
+    for s in (ONE, *_LONG_SLOPES[:3]):
+        assert len(slope_to_word(s)) == 2 * max(s.p, s.q)
+    assert main(["word", "7777/10007"]) == 0
+    assert len(capsys.readouterr().out) == 2 * 10007 + 1
+
+
+def test_lr_words_peak_at_three_and_a_half_bytes_a_letter():
+    # the word itself is one byte a letter; the two factors it is joined
+    # from are about one more
+    for s in _LONG_SLOPES:
+        slope_to_word(s)
+        tracemalloc.start()
+        try:
+            word = slope_to_word(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * len(word), (s, peak / len(word))
 
 
 def test_lr_rejects_negative_slope():
