@@ -45,7 +45,6 @@ from .links import (
 )
 from .psl2z import (
     EllipticError,
-    GeodesicWord,
     MatrixPSL2Z,
     NotHyperbolicError,
     ParabolicError,
@@ -61,7 +60,6 @@ __all__ = [
     "EllipticError",
     "FareyPath",
     "FareyTriangle",
-    "GeodesicWord",
     "INFINITY",
     "LinkFamily",
     "MatrixPSL2Z",

@@ -45,10 +45,10 @@ from .farey import (
     v_orbit,
 )
 from .psl2z import (
-    GeodesicWord,
     ParabolicError,
     field_discriminant,
     geodesic_length,
+    least_rotation,
     word_to_matrix,
 )
 
@@ -67,6 +67,9 @@ _LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 # An integer option is ASCII digits with an optional sign, as one side
 # of a slope is: no whitespace, no underscores, no other script's digits.
 _INTEGER_PATTERN = re.compile(r"[+-]?[0-9]+")
+# A word argument is the ASCII letters L and R only, matched whole:
+# fullmatch lets no trailing newline through, as "$" would.
+_WORD_PATTERN = re.compile("[LR]+")
 
 
 def _error(detail: str) -> None:
@@ -102,13 +105,12 @@ def _slope_arg(text: str) -> Slope:
         ) from None
 
 
-def _word_arg(text: str) -> GeodesicWord:
-    try:
-        return GeodesicWord(text)
-    except ValueError:
+def _word_arg(text: str) -> str:
+    if not _WORD_PATTERN.fullmatch(text):
         raise argparse.ArgumentTypeError(
             f"malformed-word: {text!r} is not a nonempty word over L, R"
-        ) from None
+        )
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -179,7 +181,7 @@ def _cmd_cutting(args) -> int:
     print(f"lr-word: {lr}")
     if args.check:
         ab_ok = ab == ab_sequence_geometric(s)
-        lr_ok = lr == lr_geometric_oracle(s)
+        lr_ok = lr == lr_geometric_oracle(s).canonical().letters
         print(f"oracle-ab: {'match' if ab_ok else 'mismatch'}")
         print(f"oracle-lr: {'match' if lr_ok else 'mismatch'}")
         if not (ab_ok and lr_ok):
@@ -218,7 +220,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_length(args) -> int:
-    word: GeodesicWord = args.word.canonical()
+    word = least_rotation(args.word)
     matrix = word_to_matrix(word)
     t = matrix.trace()
     length = geodesic_length(t)  # raises before any output on trace < 3
@@ -277,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jsonl", metavar="FILE", default="-",
                    help="output file ('-' for stdout)")
     p.add_argument("--dedupe-mirror", action="store_true",
-                   help="emit one family per mirror pair")
+                   help="emit one family per link: the targets p/q with p <= q")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("table", help="volume versus length table")

@@ -5,15 +5,16 @@ lattice points by an infinitesimal upward shift, crosses vertical lines
 (letter A) and horizontal lines (letter B); one period gives a cyclic
 word with q A's and p B's.  Reading cyclically consecutive letter pairs
 translates this to the LR word of the corresponding conjugacy class.
-The AB word, a plain string, is the lower Christoffel word of p/q.  The
-LR word, a GeodesicWord, is spelled from the same continued-fraction
+Both words are plain strings.  The AB word is the lower Christoffel
+word of p/q.  The LR word is spelled from the same continued-fraction
 walk, each factor carrying only its pair reading, with no AB word in
 between.  Both come out in their least rotations, so no rotation is
 ever searched for.  Both steps have independent geometric simulations,
 written against the lattice itself with exact rational arithmetic, to
 check the symbolic algorithms.  The AB simulation returns the least
 rotation of the word it reads, so that it compares to ab_sequence as a
-string.
+string; the LR oracle returns a GeodesicWord, whose equality ignores
+rotation.
 """
 
 from __future__ import annotations
@@ -104,16 +105,16 @@ def ab_sequence_geometric(s: Slope) -> str:
 _PAIR_RULE = {"AB": "L", "BA": "R", "AA": "RL", "BB": "LR"}
 
 
-def ab_to_lr(letters: str) -> GeodesicWord:
+def ab_to_lr(letters: str) -> str:
     """Translate cyclically consecutive crossing pairs to an LR word.
 
     A then B contributes L; B then A contributes R; a repeated letter
     contributes the two-letter turn (RL after A, LR after B).  The last
-    letter pairs with the first.  Result is in canonical rotation.
+    letter pairs with the first.  Result is the least rotation.
     """
     n = len(letters)
     out = [_PAIR_RULE[letters[i] + letters[(i + 1) % n]] for i in range(n)]
-    return GeodesicWord("".join(out)).canonical()
+    return least_rotation("".join(out))
 
 
 _A, _B = ("A", "A", ""), ("B", "B", "")
@@ -141,7 +142,7 @@ def _power(x, a):
     return first, last, (pairs + _PAIR_RULE[last + first]) * (a - 1) + pairs
 
 
-def slope_to_word(s: Slope) -> GeodesicWord:
+def slope_to_word(s: Slope) -> str:
     """Canonical LR word of a nonnegative slope, spelled from its continued fraction.
 
     The upper Christoffel word U, the reverse of the lower one (Berstel
@@ -158,8 +159,8 @@ def slope_to_word(s: Slope) -> GeodesicWord:
     Each factor carries only its first letter, last letter and P, so no
     AB word is spelled, and rev_left is carried without the A it ends
     with, so that U[:-1] needs no slice.  The word is joined once from
-    the two factors.  The tests check it letter for letter against
-    least_rotation(ab_to_lr(...)).
+    the two factors; built from L and R alone, its letters need no
+    check.  The tests check it letter for letter against ab_to_lr(...).
 
     The two degenerate slopes 0/1 and 1/0 share the word LR with 1/1
     (all three lie in one rotation orbit).
@@ -167,7 +168,7 @@ def slope_to_word(s: Slope) -> GeodesicWord:
     if s.p < 0:
         raise NegativeSlopeError(f"no LR word for negative slope {s}")
     if s in (ZERO, INFINITY):
-        return GeodesicWord.from_canonical("LR")
+        return "LR"
     *head, last = continued_fraction(s)
     right, left = _B, None  # rev_right; rev_left without its final A
     for i, a in enumerate((*head, last - 1)):
@@ -181,7 +182,7 @@ def slope_to_word(s: Slope) -> GeodesicWord:
     if left is not None:
         parts += (_PAIR_RULE[right[1] + left[0]], left[2])
     parts.append("R")
-    return GeodesicWord.from_canonical("".join(parts))
+    return "".join(parts)
 
 
 def lr_events(

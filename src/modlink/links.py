@@ -29,12 +29,7 @@ from .farey import (
     order_as_farey_chain,
     v_orbit,
 )
-from .psl2z import (
-    GeodesicWord,
-    field_discriminant,
-    geodesic_length,
-    word_to_matrix,
-)
+from .psl2z import field_discriminant, geodesic_length, word_to_matrix
 
 
 def v_oct() -> float:
@@ -53,7 +48,7 @@ class OrbitRecord:
 
     representative: Slope
     slopes: tuple[Slope, ...]
-    word: GeodesicWord
+    word: str
     trace: int
     length: float
     discriminant: int
@@ -108,7 +103,7 @@ _REPRESENTATIVE_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_REPRESENTATIVE_CACHE_SIZE)
-def _representative(rep: Slope) -> tuple[tuple[Slope, ...], GeodesicWord]:
+def _representative(rep: Slope) -> tuple[tuple[Slope, ...], str]:
     """A representative's rotation orbit, sorted, and its word.
 
     Memoised: a census meets each representative in many families.
@@ -159,7 +154,7 @@ class VolumeRow:
     """Row n of the tower: the n-th word, and the n octahedra of the family of 1/n."""
 
     n: int
-    word: GeodesicWord
+    word: str
     trace: int
     length: float
     cumulative_length: float
@@ -188,7 +183,7 @@ def volume_length_table(n_max: int) -> Iterator[VolumeRow]:
         raise ValueError("n_max must be >= 1")
     cumulative = 0.0
     for n in range(1, n_max + 1):
-        word = GeodesicWord(_tower_word(n))
+        word = _tower_word(n)
         t = word_to_matrix(word).trace()
         length = geodesic_length(t)
         cumulative += length
@@ -206,9 +201,13 @@ def census(max_x: int, dedupe_mirror: bool = False) -> Iterator[LinkFamily]:
 
     The targets of depth x are the 2^(x-1) mediants of neighbouring
     slopes in row x - 1 of the Stern-Brocot tree, which starts as
-    [0/1, 1/0] and gains each depth's mediants in place.  With
-    dedupe_mirror, of each pair of families related by the mirror
-    p/q <-> q/p only the one with p <= q is emitted.
+    [0/1, 1/0] and gains each depth's mediants in place.
+
+    Each link but that of 1/1 comes twice: the targets s < 1 and
+    V(s) = q/(q - p) > 1, of equal depth, give the same orbits.  With
+    dedupe_mirror only the targets with p <= q are emitted, so each
+    link once.  Mirror images are not identified: the mirror of the
+    link of p/q, that of q/p, is the link of (q - p)/q, also emitted.
     """
     if max_x < 1:
         raise ValueError("max_x must be >= 1")

@@ -7,6 +7,10 @@ the trace alone, and trace^2 - 4 determines the real quadratic field of
 the axis endpoints, whose discriminant modlink.arith computes.  Matrices
 are exact (Python integers are unbounded) and are kept in a normalized
 sign convention so that equality of values is equality in PSL(2, Z).
+
+An LR word is a plain str, spelled in its least rotation wherever the
+package makes one.  GeodesicWord, whose equality ignores rotation, is
+the type of the geometric oracle's word in modlink.cutting.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ _ALPHABET = frozenset("LR")
 
 @dataclass(frozen=True, eq=False)
 class GeodesicWord:
-    """Nonempty cyclic word over {L, R} naming a conjugacy class in PSL(2, Z).
+    """Nonempty cyclic word over {L, R}: the geometric oracle's LR word.
 
     Equality and hashing ignore rotation.  Letters that are not a str
     raise TypeError; an empty word, or a letter other than L and R,
@@ -121,17 +125,6 @@ class GeodesicWord:
             bad = set(letters) - _ALPHABET
             raise ValueError(f"letters {sorted(bad)} not in {sorted(_ALPHABET)}")
 
-    @classmethod
-    def from_canonical(cls, letters: str) -> "GeodesicWord":
-        """The word spelled by letters already known to be its least rotation.
-
-        The caller vouches for the spelling, so the word is never searched
-        for its least rotation; its alphabet is still checked.
-        """
-        word = cls(letters)
-        object.__setattr__(word, "_canonical_letters", letters)
-        return word
-
     @cached_property
     def _canonical_letters(self) -> str:
         return least_rotation(self.letters)
@@ -143,7 +136,11 @@ class GeodesicWord:
         word whose canonical letters are known, so it is never rescanned.
         """
         letters = self._canonical_letters
-        return self if letters == self.letters else self.from_canonical(letters)
+        if letters == self.letters:
+            return self
+        word = GeodesicWord(letters)
+        object.__setattr__(word, "_canonical_letters", letters)
+        return word
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeodesicWord):
@@ -191,8 +188,8 @@ def _product(m: "tuple[int, int, int, int]",
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def word_to_matrix(word: GeodesicWord) -> MatrixPSL2Z:
-    """Left-to-right product of L = (1 1; 0 1) and R = (1 0; 1 1) over the word.
+def word_to_matrix(letters: str) -> MatrixPSL2Z:
+    """Left-to-right product of L = (1 1; 0 1) and R = (1 0; 1 1) over the letters.
 
     The word is cut into blocks of _BLOCK letters.  Each block's entries
     come from _block_product, memoised on the block's letters.  A
@@ -211,9 +208,9 @@ def word_to_matrix(word: GeodesicWord) -> MatrixPSL2Z:
 
     The entries are normalized once, at the end.  Words in positive
     powers of L and R give matrices with nonnegative entries; the trace
-    depends only on the rotation class.
+    depends only on the rotation class.  The letters are not checked:
+    the word must be nonempty, and any letter but L multiplies by R.
     """
-    letters = word.letters
     level = [
         _block_product(letters[start:start + _BLOCK])
         for start in range(0, len(letters), _BLOCK)

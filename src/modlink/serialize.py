@@ -70,7 +70,7 @@ def family_to_dict(family: LinkFamily) -> dict:
             {
                 "representative": str(record.representative),
                 "slopes": [str(s) for s in record.slopes],
-                "word": record.word.letters,
+                "word": record.word,
                 "trace": str(record.trace),
                 "length": real12(record.length),
                 "discriminant": record.discriminant,
@@ -109,7 +109,7 @@ def report_to_csv(rows: Iterable[VolumeRow]) -> Iterator[str]:
         n = str(row.n)
         yield ",".join((
             n,
-            row.word.letters,
+            row.word,
             str(row.trace),
             format_real(row.length),
             format_real(row.cumulative_length),
@@ -132,7 +132,7 @@ def family_text(family: LinkFamily) -> str:
         lines.append(
             f"orbit {i}: representative {record.representative}"
             f" slopes {{{', '.join(str(s) for s in record.slopes)}}}"
-            f" word {record.word.letters}"
+            f" word {record.word}"
             f" trace {record.trace}"
             f" length {format_real(record.length)}"
             f" discriminant {record.discriminant}"

@@ -53,10 +53,11 @@ PINNED = [
      "length-lr-1000"),
 ]
 
-# (argv, exit code, stderr).  The first eight are argparse's errors, the
-# first two shaped by the private _negative_number_matcher the CLI sets
-# and the next three words that fail GeodesicWord's letter check; the
-# last two are domain errors.
+# (argv, exit code, stderr).  The first ten are argparse's errors: the
+# first two shaped by the private _negative_number_matcher the CLI sets,
+# the last five of them words that fail the CLI's letter check, a
+# fullmatch of [LR]+ that neither a trailing newline nor a fullwidth L
+# passes.  The last two are domain errors.
 PINNED_ERRORS = [
     (("word", "-.5"), 2,
      "error: argument slope: malformed-slope: '-.5' is not 'p/q'\n"),
@@ -70,6 +71,10 @@ PINNED_ERRORS = [
      "error: argument word: malformed-word: '' is not a nonempty word over L, R\n"),
     (("length", "lr"), 2,
      "error: argument word: malformed-word: 'lr' is not a nonempty word over L, R\n"),
+    (("length", "LR\n"), 2,
+     "error: argument word: malformed-word: 'LR\\n' is not a nonempty word over L, R\n"),
+    (("length", "L\uff2c"), 2,
+     "error: argument word: malformed-word: 'L\uff2c' is not a nonempty word over L, R\n"),
     (("length", "LL"), 3,
      "error: parabolic: trace 2 is parabolic: no closed geodesic\n"),
     (("family", "0/0"), 3, "error: undefined-slope: 0/0\n"),

@@ -413,6 +413,39 @@ def test_malformed_invocations_exit_2(capsys, argv):
     assert len(err.rstrip("\n").splitlines()) == 1
 
 
+def _reaches_the_word_check(text: str) -> bool:
+    """Whether argparse passes text on as the word rather than as an option flag."""
+    return not text.startswith("-") or bool(cli._NEGATIVE_NUMBER_START.match(text))
+
+
+# the alphabets of test_psl2z's letter-check test; at most 24 letters, so
+# that no valid word has a trace that takes long to factor
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(max_size=24).filter(_reaches_the_word_check),
+    st.text(alphabet="LR", max_size=24),
+    st.text(alphabet="LRlr\uff2c\x00\u0301", max_size=24),
+))
+@example("LR\n")
+@example("L\uff2c")  # fullwidth L
+@example("L\u0301R")  # L with a combining acute accent
+@example("-5")
+@example("RRRL")
+@example("LLLL")
+def test_length_checks_its_letters_at_the_cli(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["length", text])
+    malformed = (
+        f"error: argument word: malformed-word: {text!r} is not a nonempty word over L, R\n"
+    )
+    if text and set(text) <= {"L", "R"}:
+        # a power of L or of R has trace 2: parabolic, exit 3
+        assert code in (0, 3) and err.getvalue() != malformed
+    else:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", malformed)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -28,7 +28,7 @@ from modlink.cutting import (
     slope_to_word,
 )
 from modlink.farey import INFINITY, ONE, ZERO, NegativeSlopeError, Slope, v_orbit
-from modlink.psl2z import GeodesicWord, least_rotation
+from modlink.psl2z import least_rotation
 
 
 def _reduced_positive(bound: int):
@@ -60,7 +60,7 @@ def _substitution_ab_word(s: Slope) -> str:
 def _oracle_words(s: Slope) -> tuple[str, str]:
     """Least rotations of the substitution AB word and of its pair reading."""
     ab = _substitution_ab_word(s)
-    return least_rotation(ab), least_rotation(ab_to_lr(ab).letters)
+    return least_rotation(ab), ab_to_lr(ab)
 
 
 # --------------------------------------------------- continued fractions
@@ -121,7 +121,7 @@ def test_words_spell_the_least_rotation_of_the_substitution_oracle():
         s = Slope(p, q)
         ab, lr = _oracle_words(s)
         assert ab_sequence(s) == ab, s
-        assert slope_to_word(s).letters == lr, s
+        assert slope_to_word(s) == lr, s
 
 
 def test_words_spell_the_least_rotation_of_the_geometric_oracles():
@@ -129,7 +129,7 @@ def test_words_spell_the_least_rotation_of_the_geometric_oracles():
         s = Slope(p, q)
         ab, lr = _oracle_words(s)
         assert ab_sequence(s) == ab_sequence_geometric(s) == ab
-        assert slope_to_word(s).letters == least_rotation(lr_geometric_oracle(s).letters) == lr
+        assert slope_to_word(s) == least_rotation(lr_geometric_oracle(s).letters) == lr
 
 
 @settings(deadline=None, max_examples=60)
@@ -144,7 +144,7 @@ def test_words_spell_the_least_rotation_of_the_geometric_oracles():
 def test_long_words_spell_the_least_rotation_of_the_substitution_oracle(p, q):
     g = math.gcd(p, q)
     s = Slope(p // g, q // g)
-    assert (ab_sequence(s), slope_to_word(s).letters) == _oracle_words(s)
+    assert (ab_sequence(s), slope_to_word(s)) == _oracle_words(s)
 
 
 def test_ab_letter_counts_are_crossing_counts():
@@ -176,39 +176,38 @@ def test_ab_rejects_slopes_off_the_open_quadrant():
 
 
 def test_ab_to_lr_pair_rule():
-    assert ab_to_lr("AB") == GeodesicWord("LR")
-    assert ab_to_lr("ABB") == GeodesicWord("LLRR")
-    assert ab_to_lr("BAA") == GeodesicWord("LLRR")
-    assert ab_to_lr("BABBA") == GeodesicWord("LRLLRR")
+    assert ab_to_lr("AB") == "LR"
+    assert ab_to_lr("ABB") == "LLRR"
+    assert ab_to_lr("BAA") == "LLRR"
+    assert ab_to_lr("BABBA") == "LLRRLR"
 
 
 def test_lr_worked_examples():
-    assert slope_to_word(ONE) == GeodesicWord("LR")
-    assert slope_to_word(Slope(1, 2)) == GeodesicWord("LLRR")
-    assert slope_to_word(Slope(2, 1)) == GeodesicWord("LLRR")
-    assert slope_to_word(Slope(3, 2)) == GeodesicWord("LRLLRR")
-    assert slope_to_word(Slope(3, 1)) == GeodesicWord("LRRLLR")
-    assert slope_to_word(Slope(1, 7)) == GeodesicWord("LR" + "RL" * 6)
-    assert slope_to_word(Slope(1, 7)).canonical().letters == "LLRRLRLRLRLRLR"
+    assert slope_to_word(ONE) == "LR"
+    assert slope_to_word(Slope(1, 2)) == "LLRR"
+    assert slope_to_word(Slope(2, 1)) == "LLRR"
+    assert slope_to_word(Slope(3, 2)) == "LLRRLR"
+    assert slope_to_word(Slope(3, 1)) == "LLRLRR"
+    assert slope_to_word(Slope(1, 7)) == "LLRRLRLRLRLRLR"
 
 
 def test_lr_base_slopes_give_the_trace_three_word():
-    assert slope_to_word(ZERO) == GeodesicWord("LR")
-    assert slope_to_word(INFINITY) == GeodesicWord("LR")
+    assert slope_to_word(ZERO) == "LR"
+    assert slope_to_word(INFINITY) == "LR"
 
 
 def test_lr_matches_geometric_oracle():
     for p, q in _reduced_positive(25):
         s = Slope(p, q)
-        assert slope_to_word(s) == lr_geometric_oracle(s), s
+        assert slope_to_word(s) == lr_geometric_oracle(s).canonical().letters, s
 
 
 def test_lr_word_length_and_letter_counts():
     for p, q in _reduced_positive(30):
         word = slope_to_word(Slope(p, q))
         assert len(word) == p + q + abs(p - q) == 2 * max(p, q)
-        assert word.letters.count("L") == max(p, q)
-        assert word.letters.count("R") == max(p, q)
+        assert word.count("L") == max(p, q)
+        assert word.count("R") == max(p, q)
 
 
 def test_lr_mirror_symmetry():
@@ -216,7 +215,7 @@ def test_lr_mirror_symmetry():
     for p, q in _reduced_positive(30):
         w = slope_to_word(Slope(p, q))
         m = slope_to_word(Slope(q, p))
-        assert m == GeodesicWord(w.letters.translate(swap)), (p, q)
+        assert m == least_rotation(w.translate(swap)), (p, q)
 
 
 def test_lr_constant_on_v_orbits():

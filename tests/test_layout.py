@@ -11,7 +11,9 @@ is passed one and the same value by every package call, so the package
 has no knob that never turns.  No module imports a name it never
 reads or defines a private name that no package module uses, so a
 refactor leaves no leftovers behind.  The geometric oracles stay in
-``cutting``, named only by the CLI and the figures.  Every import is
+``cutting``, named only by the CLI and the figures, and the word class
+they return is named only where it is defined and by the oracle, so
+LR words travel as plain strings everywhere else.  Every import is
 relative or from the standard library, so the package has no runtime
 dependency, and ``arith`` imports from the standard library alone, so
 the number theory stays a leaf.
@@ -85,17 +87,20 @@ _ORACLES = {
 _ORACLE_USERS = {"cli.py", "figures.py"}
 
 
-def _oracles_named(path: Path) -> list[str]:
+def _names_from(path: Path, wanted: set[str]) -> list[str]:
+    """Where the module imports, reads or assigns a name in wanted."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
         else:
             continue
         found += [
-            f"{path.name}:{node.lineno} names {name}" for name in names if name in _ORACLES
+            f"{path.name}:{node.lineno} names {name}" for name in names if name in wanted
         ]
     return found
 
@@ -106,7 +111,24 @@ def test_only_the_cli_and_the_figures_reach_the_oracles():
         if path.name not in _ORACLE_USERS | {"cutting.py"}
     ]
     assert modules
-    assert [hit for path in modules for hit in _oracles_named(path)] == []
+    assert [hit for path in modules for hit in _names_from(path, _ORACLES)] == []
+
+
+# GeodesicWord, the rotation-blind word of lr_geometric_oracle, and the
+# modules that may name it: psl2z, where it is defined, and cutting, the
+# oracle's module.
+_WORD_CLASS_MODULES = {"psl2z.py", "cutting.py"}
+
+
+def test_only_psl2z_and_the_oracle_name_the_word_class():
+    modules = [
+        path for path in sorted(SOURCE.glob("*.py"))
+        if path.name not in _WORD_CLASS_MODULES
+    ]
+    assert {path.name for path in modules} >= {
+        "__init__.py", "cli.py", "figures.py", "links.py", "serialize.py"
+    }
+    assert [hit for path in modules for hit in _names_from(path, {"GeodesicWord"})] == []
 
 
 # Public class members no package module reads, each with the reason it is kept.

@@ -39,7 +39,7 @@ from modlink.links import (
     v_oct,
     volume_length_table,
 )
-from modlink.psl2z import GeodesicWord, geodesic_length, least_rotation
+from modlink.psl2z import geodesic_length, least_rotation
 from modlink.serialize import (
     family_text,
     family_to_dict,
@@ -106,7 +106,7 @@ def test_family_three_halves_golden():
         "-2/1", "-1/1", "0/1", "1/3", "1/2", "1/1", "3/2", "2/1", "1/0",
     ]
     assert _strs(r.representative for r in fam.orbits) == ["1/1", "2/1", "3/2"]
-    assert [r.word.letters for r in fam.orbits] == ["LR", "LLRR", "LLRRLR"]
+    assert [r.word for r in fam.orbits] == ["LR", "LLRR", "LLRRLR"]
     assert [r.trace for r in fam.orbits] == [3, 6, 15]
     assert [r.discriminant for r in fam.orbits] == [5, 2, 221]
     assert _strs(fam.orbits[0].slopes) == ["0/1", "1/1", "1/0"]
@@ -127,7 +127,7 @@ def test_family_one_is_the_single_octahedron_anchor():
     assert fam.x == 1
     assert _strs(fam.slopes) == ["0/1", "1/1", "1/0"]
     assert len(fam.orbits) == 1
-    assert fam.orbits[0].word == GeodesicWord("LR")
+    assert fam.orbits[0].word == "LR"
     assert fam.orbits[0].trace == 3
     assert fam.orbits[0].discriminant == 5
     assert fam.volume_modular == pytest.approx(V_OCT_REFERENCE, abs=1e-12)
@@ -160,7 +160,7 @@ def _family_invariants(fam: LinkFamily):
         }
         assert not (set(record.slopes) & orbit_union)
         orbit_union |= set(record.slopes)
-        assert record.word.canonical().letters == record.word.letters
+        assert least_rotation(record.word) == record.word
         assert record.length == pytest.approx(geodesic_length(record.trace))
     assert orbit_union == slopes
     chain = fam.slopes
@@ -262,7 +262,7 @@ def test_family_rejects_orbits_that_share_a_slope(monkeypatch):
 def test_gamma_sequence_words_and_traces():
     # the family of 1/n carries the first n words LR, LR(RL), LR(RL)^2, ...
     fam = build_family(Slope(1, 5))
-    assert [r.word.letters for r in fam.orbits] == [
+    assert [r.word for r in fam.orbits] == [
         "LR", "LLRR", "LLRRLR", "LLRRLRLR", "LLRRLRLRLR",
     ]
     traces = [r.trace for r in fam.orbits]
@@ -278,7 +278,7 @@ def test_tower_word_is_least_rotation_of_lr_rl_power():
 
 def test_gamma_trace_recursion_holds_to_50():
     fam = build_family(Slope(1, 50))
-    words = [r.word.letters for r in fam.orbits]
+    words = [r.word for r in fam.orbits]
     assert words == [_tower_word(n) for n in range(1, 51)]
     traces = [r.trace for r in fam.orbits]
     assert traces[0] == 3 and traces[1] == 6
@@ -291,21 +291,21 @@ def test_each_tower_row_is_the_family_of_one_over_n():
     for n, row in enumerate(volume_length_table(60), 1):
         family = build_family(Slope(1, n))
         newest = family.orbits[-1]
-        assert (row.word.letters, row.trace, row.length) == (
-            newest.word.letters, newest.trace, newest.length
+        assert (row.word, row.trace, row.length) == (
+            newest.word, newest.trace, newest.length
         ), n
         assert row.cumulative_length == family.total_length, n
         assert row.volume == family.volume_modular, n
         assert row.volume_alternative == family.volume_alternative, n
         assert row.ratio == family.ratio, n
     for n in range(1, 2000):
-        assert _tower_word(n) == slope_to_word(Slope(1, n)).letters, n
+        assert _tower_word(n) == slope_to_word(Slope(1, n)), n
 
 
 def test_volume_length_table_golden():
     rows = tuple(volume_length_table(3))
     assert [r.n for r in rows] == [1, 2, 3]
-    assert [r.word.letters for r in rows] == ["LR", "LLRR", "LLRRLR"]
+    assert [r.word for r in rows] == ["LR", "LLRR", "LLRRLR"]
     assert [r.trace for r in rows] == [3, 6, 15]
     assert rows[0].length == pytest.approx(1.9248473002384139, abs=1e-14)
     assert rows[2].cumulative_length == pytest.approx(
@@ -348,6 +348,24 @@ def test_census_mirror_dedupe():
         list(census(0))
 
 
+def _orbit_set(family: LinkFamily) -> frozenset:
+    return frozenset(record.slopes for record in family.orbits)
+
+
+def test_census_lists_each_link_twice_and_dedupe_mirror_once():
+    # s and V(s) = q/(q - p) share their orbits, so their link; V(s) is
+    # negative for s > 1, and then V^2(s) is the positive partner
+    full = list(census(9))
+    for family in full:
+        s = family.target
+        partner = v_rotate(s) if s.p <= s.q else v_rotate(v_rotate(s))
+        assert _orbit_set(build_family(partner)) == _orbit_set(family), s
+    deduped = [_orbit_set(family) for family in census(9, dedupe_mirror=True)]
+    assert len(set(deduped)) == len(deduped) == 256
+    assert set(deduped) == {_orbit_set(family) for family in full}
+    assert len(full) == 511
+
+
 @pytest.mark.parametrize("dedupe_mirror", [False, True])
 def test_census_targets_match_brute_force_to_depth_8(dedupe_mirror):
     # every slope of Farey depth <= 8 has p, q <= F(9) = 34
@@ -371,12 +389,12 @@ def test_census_targets_match_brute_force_to_depth_8(dedupe_mirror):
 def test_census_orbit_words_are_canonical():
     for family in census(6):
         for record in family.orbits:
-            assert record.word.letters == least_rotation(record.word.letters)
+            assert record.word == least_rotation(record.word)
 
 
 def test_census_depth_three_has_both_word_sets():
     word_sets = {
-        frozenset(r.word.letters for r in f.orbits)
+        frozenset(r.word for r in f.orbits)
         for f in census(3)
         if f.x == 3
     }
@@ -472,7 +490,7 @@ def _csv_writer_table(rows) -> str:
     )
     for row in rows:
         writer.writerow(
-            [row.n, row.word.letters, row.trace, format_real(row.length),
+            [row.n, row.word, row.trace, format_real(row.length),
              format_real(row.cumulative_length), row.n, format_real(row.volume),
              format_real(row.volume_alternative), format_real(row.ratio)]
         )

@@ -67,11 +67,6 @@ def _generator_product(letters: str) -> MatrixPSL2Z:
     return MatrixPSL2Z(*functools.reduce(_mul, entries, (1, 0, 0, 1)))
 
 
-def _matrix(letters: str) -> MatrixPSL2Z:
-    """word_to_matrix of the word spelled by letters."""
-    return word_to_matrix(GeodesicWord(letters))
-
-
 def _sympy_odd_primes(n: int) -> set:
     """The primes dividing n >= 1 to an odd power, by sympy."""
     return {p for p, e in sympy.factorint(n).items() if e % 2}
@@ -98,13 +93,13 @@ def test_matrix_validation_and_sign_normalization():
 
 
 def test_worked_matrices_and_traces():
-    lr = _matrix("LR")
+    lr = word_to_matrix("LR")
     assert (lr.a, lr.b, lr.c, lr.d) == (2, 1, 1, 1)
-    llrr = _matrix("LLRR")
+    llrr = word_to_matrix("LLRR")
     assert (llrr.a, llrr.b, llrr.c, llrr.d) == (5, 2, 2, 1)
-    m1 = _matrix("LRLLRR")
+    m1 = word_to_matrix("LRLLRR")
     assert (m1.a, m1.b, m1.c, m1.d) == (12, 5, 7, 3)
-    m2 = _matrix("LRRLLR")
+    m2 = word_to_matrix("LRRLLR")
     assert (m2.a, m2.b, m2.c, m2.d) == (10, 7, 7, 5)
     assert lr.trace() == 3
     assert llrr.trace() == 6
@@ -116,10 +111,10 @@ def test_worked_matrices_and_traces():
 def test_word_products_associate_through_any_split(letters):
     if not letters:
         return
-    whole = _matrix(letters)
+    whole = word_to_matrix(letters)
     for cut in range(1, len(letters)):
-        left = _matrix(letters[:cut])
-        right = _matrix(letters[cut:])
+        left = word_to_matrix(letters[:cut])
+        right = word_to_matrix(letters[cut:])
         assert MatrixPSL2Z(*_mul(_entries(left), _entries(right))) == whole
 
 
@@ -136,7 +131,7 @@ _WORD_LENGTHS = st.one_of(
 
 @given(_WORD_LENGTHS.flatmap(_words_of_length))
 def test_word_to_matrix_matches_generator_product(letters):
-    assert _matrix(letters) == _generator_product(letters)
+    assert word_to_matrix(letters) == _generator_product(letters)
 
 
 @given(
@@ -146,7 +141,7 @@ def test_word_to_matrix_matches_generator_product(letters):
 def test_word_to_matrix_on_periodic_words(period, length):
     # repeated blocks are served from the block memo
     letters = (period * (length // len(period) + 1))[:length]
-    assert _matrix(letters) == _generator_product(letters)
+    assert word_to_matrix(letters) == _generator_product(letters)
 
 
 def test_block_memo_is_bounded_by_its_cap():
@@ -158,7 +153,7 @@ def test_block_memo_is_bounded_by_its_cap():
     sizes = []
     for start in range(0, len(blocks), 8):
         letters = "".join(blocks[start:start + 8])
-        assert _matrix(letters) == _generator_product(letters)
+        assert word_to_matrix(letters) == _generator_product(letters)
         sizes.append(psl2z._block_product.cache_info().currsize)
     assert max(sizes) == cap == sizes[-1]
 
@@ -183,21 +178,21 @@ def test_long_tower_word_trace_by_repeated_squaring():
     assert len(letters) == 2 * n
     llrr = _entries(_generator_product("LLRR"))
     a, _, _, d = _mul(llrr, _matrix_power(_entries(_generator_product("LR")), n - 2))
-    assert _matrix(letters).trace() == a + d
+    assert word_to_matrix(letters).trace() == a + d
 
 
 def test_word_to_matrix_matches_generator_product_on_a_long_word():
-    letters = slope_to_word(Slope(10007, 7777)).letters
+    letters = slope_to_word(Slope(10007, 7777))
     assert len(letters) == 20014
-    assert _matrix(letters) == _generator_product(letters)
+    assert word_to_matrix(letters) == _generator_product(letters)
 
 
 def test_trace_is_rotation_invariant_for_all_short_words():
     for n in range(2, 11):
         for letters in map("".join, itertools.product("LR", repeat=n)):
-            t = _matrix(letters).trace()
+            t = word_to_matrix(letters).trace()
             for k in range(1, n):
-                assert _matrix(letters[k:] + letters[:k]).trace() == t
+                assert word_to_matrix(letters[k:] + letters[:k]).trace() == t
 
 
 # ---------------------------------------------------------- cyclic words
@@ -227,7 +222,7 @@ def _fibonacci_word(length: int) -> str:
 
 @pytest.mark.parametrize("slope", ["1597/987", "1999/1000", "1/2000", "2000/1"])
 def test_least_rotation_of_rotated_cutting_words(slope):
-    letters = slope_to_word(Slope.parse(slope)).letters
+    letters = slope_to_word(Slope.parse(slope))
     n = len(letters)
     for k in (0, 1, n // 3, n // 2, n - 1):
         rotated = letters[k:] + letters[:k]
@@ -297,8 +292,6 @@ def test_non_str_letters_are_a_type_error(letters):
     name = type(letters).__name__
     with pytest.raises(TypeError, match=f"not {name}$"):
         GeodesicWord(letters)
-    with pytest.raises(TypeError, match=f"not {name}$"):
-        GeodesicWord.from_canonical(letters)
 
 
 def test_canonical_word_is_never_rescanned(monkeypatch):
@@ -319,28 +312,11 @@ def test_canonical_word_is_never_rescanned(monkeypatch):
     assert calls == ["LLR", "RLL"]
 
 
-def test_word_from_canonical_letters_is_never_scanned(monkeypatch):
-    calls = []
-
-    def counting(s):
-        calls.append(s)
-        return least_rotation(s)
-
-    monkeypatch.setattr(psl2z, "least_rotation", counting)
-    w = GeodesicWord.from_canonical("LLR")
-    assert type(w) is GeodesicWord and w.letters == "LLR"
-    assert w.canonical() is w and w == GeodesicWord.from_canonical("LLR")
-    assert hash(w) == hash(GeodesicWord.from_canonical("LLR"))
-    assert calls == []
-    with pytest.raises(ValueError):
-        GeodesicWord.from_canonical("LLX")
-
-
 def test_power_words_are_parabolic():
     for letters in ["L", "R", "LLL", "RRRR"]:
-        assert _matrix(letters).trace() == 2
+        assert word_to_matrix(letters).trace() == 2
         with pytest.raises(ParabolicError):
-            geodesic_length(_matrix(letters).trace())
+            geodesic_length(word_to_matrix(letters).trace())
 
 
 # --------------------------------------------------------------- lengths
@@ -619,23 +595,23 @@ def test_family_89_55_discriminants_match_checked_factorizations():
 
 
 def test_field_discriminants_of_worked_classes():
-    assert field_discriminant(_matrix("LR")) == 5
-    assert field_discriminant(_matrix("LLRR")) == 2
-    assert field_discriminant(_matrix("LRLLRR")) == 221
-    assert field_discriminant(_matrix("LRRLLR")) == 221
+    assert field_discriminant(word_to_matrix("LR")) == 5
+    assert field_discriminant(word_to_matrix("LLRR")) == 2
+    assert field_discriminant(word_to_matrix("LRLLRR")) == 221
+    assert field_discriminant(word_to_matrix("LRRLLR")) == 221
     with pytest.raises(ParabolicError):
-        field_discriminant(_matrix("L"))
+        field_discriminant(word_to_matrix("L"))
 
 
 def test_field_discriminant_is_memoised_per_trace():
-    m1, m2 = _matrix("LRLLRR"), _matrix("LRRLLR")  # both trace 15
+    m1, m2 = word_to_matrix("LRLLRR"), word_to_matrix("LRRLLR")  # both trace 15
     first = field_discriminant(m1)
     hits = arith.trace_discriminant.cache_info().hits
     assert field_discriminant(m1) == field_discriminant(m2) == first == 221
     assert arith.trace_discriminant.cache_info().hits == hits + 2
     for _ in range(3):
         with pytest.raises(ParabolicError):
-            field_discriminant(_matrix("LL"))
+            field_discriminant(word_to_matrix("LL"))
         with pytest.raises(EllipticError):
             field_discriminant(V)  # trace 1
         with pytest.raises(EllipticError):
@@ -645,7 +621,7 @@ def test_field_discriminant_is_memoised_per_trace():
 def test_field_discriminant_matches_direct_factorization():
     for n in range(2, 9):
         for letters in map("".join, itertools.product("LR", repeat=n)):
-            m = _matrix(letters)
+            m = word_to_matrix(letters)
             t = m.trace()
             if t <= 2:
                 continue
@@ -660,7 +636,7 @@ def test_field_discriminant_checks_itself(monkeypatch):
     arith.trace_discriminant.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="trace 15: 13 "):
-            field_discriminant(_matrix("LRLLRR"))
+            field_discriminant(word_to_matrix("LRLLRR"))
     finally:
         arith.trace_discriminant.cache_clear()
 
@@ -674,7 +650,7 @@ def test_perfect_square_cofactors_of_lr_powers_are_never_split(monkeypatch, n):
         raise AssertionError(f"_ecm ran on a {m.bit_length()}-bit number")
 
     monkeypatch.setattr(arith, "_ecm", refuse)
-    m = _matrix("LR" * n)
+    m = word_to_matrix("LR" * n)
     assert arith.trace_discriminant.__wrapped__(m.trace()) == 5  # past the memo
     assert field_discriminant(m) == 5
 
@@ -699,7 +675,7 @@ def test_parity_factorization_gives_the_squarefree_part(r, k, s):
 def test_big_trace_discriminant_uses_split_factorization():
     # gcd(t-2, t+2) divides 4, so the squarefree parts of the two factors
     # can only share the prime 2; merging divides out its square.
-    m = _matrix("LR" + "RL" * 26)
+    m = word_to_matrix("LR" + "RL" * 26)
     t = m.trace()
     assert t > 10**11
     a, b = _squarefree_part(t - 2), _squarefree_part(t + 2)
