@@ -97,8 +97,15 @@ class Slope:
             return True
         return self.p * other.q < other.p * self.q
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
+        # Kept in the instance dict, outside the fields, so equality,
+        # hashing and repr ignore it; dataclasses.replace builds anew.
         return f"{self.p}/{self.q}"
+
+    def __str__(self) -> str:
+        """'p/q', made on first use and kept: a census writes each slope often."""
+        return self._text
 
 
 ZERO = Slope(0, 1)
@@ -199,22 +206,29 @@ class FareyPath:
 def _descent(target: Slope) -> Iterator[tuple[Slope, Slope, Slope]]:
     """Each step (lo, mediant, hi) of the mediant descent to a nonnegative target.
 
-    Every step checks that lo and hi are Farey neighbours.  All mediants
-    lie on the target's side of 1/1; targets on the base triangle take
-    no step.
+    The walk compares integers: lo = a/b and hi = c/d are Farey
+    neighbours exactly when cb - ad = 1, which every step checks, and
+    the target p/q lies below the mediant (a + c)/(b + d) exactly when
+    p(b + d) < (a + c)q.  All mediants lie on the target's side of 1/1;
+    targets on the base triangle take no step.
     """
-    if target in (ZERO, ONE, INFINITY):
+    p, q = target.p, target.q
+    if p == 0 or q == 0 or p == q:
         return
-    lo, hi = (ZERO, ONE) if target < ONE else (ONE, INFINITY)
+    lo, hi = (ZERO, ONE) if p < q else (ONE, INFINITY)
+    a, b, c, d = lo.p, lo.q, hi.p, hi.q
     while True:
-        m = mediant(lo, hi)
+        if c * b - a * d != 1:
+            raise NotNeighboursError(f"{lo} and {hi} are not Farey neighbours")
+        mp, mq = a + c, b + d
+        m = Slope(mp, mq)
         yield lo, m, hi
-        if m == target:
+        if mp == p and mq == q:
             return
-        if target < m:
-            hi = m
+        if p * mq < mp * q:
+            hi, c, d = m, mp, mq
         else:
-            lo = m
+            lo, a, b = m, mp, mq
 
 
 def farey_path(target: Slope) -> FareyPath:
@@ -222,12 +236,27 @@ def farey_path(target: Slope) -> FareyPath:
 
     The dual graph of the tessellation is a tree, so the shortest path is
     unique; it is produced directly by mediant (continued-fraction)
-    descent, which checks each edge it splits.  Only the new vertices
-    are kept; the triangles follow on demand.  Targets already on the
-    base triangle give the one-triangle path.
+    descent, an integer walk that checks each edge it splits and that
+    FareyPath.triangles repeats.  Only the new vertices are kept; the
+    triangles follow on demand.  Targets already on the base triangle
+    give the one-triangle path.
     """
     require_nonnegative(target)
     return FareyPath(target, tuple(m for _, m, _ in _descent(target)))
+
+
+def _approximate_value(s: Slope) -> float:
+    """p/q as a float, never raising: 1/0 and values past the float range are +-inf.
+
+    Int true division is correctly rounded, so s < t gives
+    _approximate_value(s) <= _approximate_value(t); only ties misorder.
+    """
+    try:
+        return s.p / s.q
+    except ZeroDivisionError:
+        return math.inf
+    except OverflowError:
+        return math.inf if s.p > 0 else -math.inf
 
 
 def order_as_farey_chain(slopes: Iterable[Slope]) -> list[Slope]:
@@ -236,11 +265,24 @@ def order_as_farey_chain(slopes: Iterable[Slope]) -> list[Slope]:
     The last slope (1/0 when present) must also neighbour the first,
     and a repeated slope fails as a pair, so every slope of a chain is
     distinct.  Raises NotAChainError naming the first failing pair.
-    Input already in ascending order costs one comparison per slope.
+
+    The slopes are sorted on their float values, then each consecutive
+    pair a, b is checked exactly: b.p * a.q - a.p * b.q = 1 says that a
+    and b are neighbours and that a < b, so a chain that passes is in
+    exact ascending order.  Only when a check fails, after a float tie
+    or on a non-chain, are the slopes sorted exactly, and the first
+    failing pair of that order is named.
     """
-    chain = sorted(slopes)
+    chain = sorted(slopes, key=_approximate_value)
     if len(chain) < 2:
         raise ValueError("a Farey chain needs at least two slopes")
+    for a, b in zip(chain, chain[1:]):
+        if b.p * a.q - a.p * b.q != 1:
+            break
+    else:
+        if is_farey_neighbour(chain[-1], chain[0]):
+            return chain
+    chain.sort()
     for a, b in zip(chain, chain[1:] + chain[:1]):
         if not is_farey_neighbour(a, b):
             raise NotAChainError(a, b)

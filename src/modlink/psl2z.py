@@ -181,6 +181,12 @@ def _block_product(block: str) -> "tuple[int, int, int, int]":
     return a, b, c, d
 
 
+@lru_cache(maxsize=_BLOCK_MEMO_CAP)
+def _block_matrix(block: str) -> MatrixPSL2Z:
+    """The normalized matrix of a word of one block, shared by its callers."""
+    return MatrixPSL2Z(*_block_product(block))
+
+
 def _product(m: "tuple[int, int, int, int]",
              n: "tuple[int, int, int, int]") -> "tuple[int, int, int, int]":
     a, b, c, d = m
@@ -198,8 +204,12 @@ def word_to_matrix(letters: str) -> MatrixPSL2Z:
     memo keeps the _BLOCK_MEMO_CAP blocks used last, so it never holds
     more than about 1 MB.
 
-    The block matrices are multiplied by a balanced product tree:
-    neighbours are paired level by level, an odd last one carried up.
+    A word of one block gets the matrix memoised by _block_matrix, a
+    memo with the same cap, since a census multiplies each of its short
+    words once per family that holds it.  Longer words are not memoised whole:
+    the tower never repeats one, and such a memo costs it time and
+    memory.  Their block matrices are multiplied by a balanced product
+    tree: neighbours are paired level by level, an odd last one carried up.
     Entries grow by at most about 0.7 bits per letter, so the factors
     that meet at each level have similar sizes, and with CPython's
     Karatsuba multiplication the tree costs O(n^1.59) for n letters,
@@ -208,9 +218,14 @@ def word_to_matrix(letters: str) -> MatrixPSL2Z:
 
     The entries are normalized once, at the end.  Words in positive
     powers of L and R give matrices with nonnegative entries; the trace
-    depends only on the rotation class.  The letters are not checked:
-    the word must be nonempty, and any letter but L multiplies by R.
+    depends only on the rotation class.  An empty word raises
+    ValueError.  The letters are not checked, since a check would cost
+    every long word a scan: any letter but L multiplies by R.
     """
+    if len(letters) <= _BLOCK:
+        if not letters:
+            raise ValueError("empty word")
+        return _block_matrix(letters)
     level = [
         _block_product(letters[start:start + _BLOCK])
         for start in range(0, len(letters), _BLOCK)

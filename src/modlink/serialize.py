@@ -8,6 +8,12 @@ serialized as decimal strings because they outgrow every fixed-width
 integer type.  CSV lines are joined directly rather than through the
 csv module: every CSV field is made of digits, L, R, "." and "-", so
 no field ever needs quoting.
+
+A census's compact JSON lines are written directly too, equal byte for
+byte to json.dumps of family_to_dict with separators (",", ":").  The
+work a census repeats in every family is done once: each Slope keeps
+its text, and each orbit's fixed text, from its representative through
+its word, is kept per representative.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from decimal import Context, Decimal, ROUND_HALF_UP
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .links import LinkFamily, VolumeRow
+from .links import LinkFamily, OrbitRecord, VolumeRow
 
 _TWELVE = Context(prec=12, rounding=ROUND_HALF_UP)
 
@@ -85,14 +91,66 @@ def family_to_dict(family: LinkFamily) -> dict:
     }
 
 
-_COMPACT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# Orbit prefixes kept by _orbit_prefix, as many as the representatives
+# that links keeps with their orbits and words.
+_PREFIX_CACHE_SIZE = 4096
+_prefixes: dict = {}
+
+
+def _orbit_prefix(record: OrbitRecord) -> str:
+    """The record's compact JSON up to its trace's digits.
+
+    Made once per representative: a hit needs the record's slopes and
+    word to be the very objects the text was made from, as they are
+    when links' memo supplies them, so no record gets another's text.
+    The cache holds those objects, so their ids are never reused while
+    it does, and it is emptied when full.
+    """
+    cached = _prefixes.get(record.representative)
+    if cached is not None and cached[0] is record.slopes and cached[1] is record.word:
+        return cached[2]
+    text = '{"representative":"%s","slopes":["%s"],"word":"%s","trace":"' % (
+        record.representative, '","'.join(map(str, record.slopes)), record.word
+    )
+    if len(_prefixes) >= _PREFIX_CACHE_SIZE:
+        _prefixes.clear()
+    _prefixes[record.representative] = (record.slopes, record.word, text)
+    return text
 
 
 def family_to_json(family: LinkFamily, compact: bool = False) -> str:
-    d = family_to_dict(family)
-    if compact:
-        return _COMPACT_ENCODER.encode(d)
-    return json.dumps(d, indent=2)
+    """The family as JSON: json.dumps of family_to_dict, indented by 2.
+
+    The compact line, one per family of a census, is written directly.
+    It equals json.dumps(family_to_dict(family), separators=(",", ":"))
+    byte for byte, and no string in it needs escaping: slopes, words and
+    traces are made of ASCII digits, "/", "-", L and R.  Every real is
+    real12 of a finite double (x * v_oct, and sums and square roots of
+    finite lengths), so its %r is float.__repr__, which is what json
+    writes for a finite float; json writes an int with int.__repr__, as
+    %d does.
+    """
+    if not compact:
+        return json.dumps(family_to_dict(family), indent=2)
+    x = family.x
+    orbits = ",".join([
+        '%s%d","length":%r,"discriminant":%d}' % (
+            _orbit_prefix(record), record.trace, real12(record.length),
+            record.discriminant,
+        )
+        for record in family.orbits
+    ])
+    return (
+        '{"target":"%s","x":%d,"slopes":["%s"],"orbits":[%s],'
+        '"counts":{"modular":%d,"ut_single":%d,"ut_both":%d},'
+        '"volume_modular":%r,"volume_paper_formula":%r,'
+        '"total_length":%r,"ratio":%r}'
+    ) % (
+        family.target, x, '","'.join(map(str, family.slopes)), orbits,
+        x, 3 * x, 6 * x,
+        real12(family.volume_modular), real12(family.volume_alternative),
+        real12(family.total_length), real12(family.ratio),
+    )
 
 
 def report_to_csv(rows: Iterable[VolumeRow]) -> Iterator[str]:

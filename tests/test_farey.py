@@ -7,7 +7,10 @@ triangles are found by the sum/difference rule, and shortest paths come
 from BFS parent pointers.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -97,6 +100,37 @@ def bfs_farey_path(p: int, q: int) -> list[frozenset]:
         chain.append(node)
         node = parent[node]
     return chain[::-1]
+
+
+def _slope_descent(target: Slope):
+    """Each step (lo, mediant, hi) of the mediant descent, walked on Slopes.
+
+    The construction that farey._descent replaced with an integer walk: it
+    compares Slope values and takes each mediant through mediant().
+    """
+    if target in (ZERO, ONE, INFINITY):
+        return
+    lo, hi = (ZERO, ONE) if target < ONE else (ONE, INFINITY)
+    while True:
+        m = mediant(lo, hi)
+        yield lo, m, hi
+        if m == target:
+            return
+        if target < m:
+            hi = m
+        else:
+            lo = m
+
+
+def _sorted_chain(slopes) -> list[Slope]:
+    """order_as_farey_chain as it was before its float sort: exact sort, then check."""
+    chain = sorted(slopes)
+    if len(chain) < 2:
+        raise ValueError("a Farey chain needs at least two slopes")
+    for a, b in zip(chain, chain[1:] + chain[:1]):
+        if not is_farey_neighbour(a, b):
+            raise NotAChainError(a, b)
+    return chain
 
 
 def _as_key(tri: FareyTriangle) -> frozenset:
@@ -348,3 +382,130 @@ def test_order_as_farey_chain_rejects_gaps():
     with pytest.raises(NotAChainError) as info:
         order_as_farey_chain([ZERO, ZERO, INFINITY])
     assert info.value.pair == (ZERO, ZERO)
+
+
+def _chain_outcome(order, slopes):
+    """The chain order returns, or the type, pair and text of what it raises."""
+    try:
+        return order(slopes)
+    except NotAChainError as error:
+        return type(error), error.pair, str(error)
+
+
+def _fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+# F100/F101, F102/F103 (their mediant with F101/F102) and F101/F102, in
+# ascending order, lie within 2e-42 of each other: all three are one float.
+_FLOAT_TIE = [
+    Slope(_fibonacci(100), _fibonacci(101)),
+    Slope(_fibonacci(102), _fibonacci(103)),
+    Slope(_fibonacci(101), _fibonacci(102)),
+]
+
+
+@st.composite
+def _farey_chains(draw):
+    """A Farey chain in shuffled order.
+
+    The base triangle, refined by mediants of consecutive slopes, is a
+    Farey chain, and so is its image under a map of SL(2, Z), which
+    keeps |ps - qr| and the cyclic order.  The map is a product of
+    shears (1 n; 0 1) and (1 0; n 1) with n up to 10^40 in size, so
+    slopes run past the float range and any one may be 1/0 or negative.
+    """
+    chain = [(0, 1), (1, 1), (1, 0)]
+    for i in draw(st.lists(st.integers(0, 10**6), max_size=24)):
+        k = i % (len(chain) - 1)
+        (p, q), (r, s) = chain[k], chain[k + 1]
+        chain.insert(k + 1, (p + r, q + s))
+    a, b, c, d = 1, 0, 0, 1
+    shears = draw(st.lists(st.integers(-10**40, 10**40), max_size=12))
+    for i, n in enumerate(shears):
+        if i % 2:
+            a, c = a + n * b, c + n * d
+        else:
+            b, d = b + n * a, d + n * c
+    slopes = [Slope(a * p + b * q, c * p + d * q) for p, q in chain]
+    return draw(st.permutations(slopes))
+
+
+@given(_farey_chains())
+@example(_FLOAT_TIE)
+@example(_FLOAT_TIE[::-1])
+# p / 1 overflows a float past 1.8e308, and 1 / q underflows to 0.0
+@example([INFINITY, Slope(10**400 + 1, 1), Slope(10**400, 1)])
+@example([Slope(10**309 + 1, 1), INFINITY, Slope(10**309, 1)])
+@example([Slope(-10**400, 1), INFINITY, Slope(-10**400 - 1, 1)])
+@example([Slope(1, 10**400), ZERO, Slope(1, 10**400 - 1)])
+def test_float_sorted_chain_is_the_exact_sort(slopes):
+    assert order_as_farey_chain(slopes) == sorted(slopes) == _sorted_chain(slopes)
+
+
+def test_the_float_tie_is_one_float_and_sorts_exactly():
+    values = {s.p / s.q for s in _FLOAT_TIE}
+    assert len(values) == 1
+    for order in (_FLOAT_TIE, _FLOAT_TIE[::-1]):
+        assert order_as_farey_chain(order) == _FLOAT_TIE
+
+
+@given(_farey_chains(), st.data())
+@example(_FLOAT_TIE + [Slope(3, 4)], None)
+@example([Slope(10**400, 1), ZERO, Slope(10**400, 1)], None)
+def test_a_non_chain_names_the_pair_the_exact_sort_names(slopes, data):
+    if data is not None:
+        i = data.draw(st.integers(0, len(slopes) - 1))
+        change = data.draw(st.sampled_from(["drop", "repeat", "add"]))
+        if change == "drop":
+            del slopes[i]
+        elif change == "repeat":
+            slopes.insert(i, slopes[i])
+        else:
+            p = data.draw(st.integers(-10**30, 10**30))
+            q = data.draw(st.integers(0, 10**30).filter(lambda q: p or q))
+            slopes.insert(i, Slope(p, q))
+    if len(slopes) < 2:
+        return
+    assert _chain_outcome(order_as_farey_chain, slopes) == _chain_outcome(
+        _sorted_chain, slopes
+    )
+
+
+@given(st.integers(0, 400), st.integers(0, 400).filter(bool))
+@example(0, 1)
+@example(1, 1)
+@example(1, 0)
+@example(1, 400)
+@example(400, 1)
+def test_integer_descent_matches_the_slope_descent(p, q):
+    target = Slope(p, q)
+    steps = list(_slope_descent(target))
+    path = farey_path(target)
+    assert path.new_vertices == tuple(m for _, m, _ in steps)
+    assert path.triangles == (base_triangle(),) + tuple(
+        FareyTriangle(step) for step in steps
+    )
+
+
+def test_cached_slope_text_changes_nothing_else():
+    s = Slope(2, -4)
+    assert str(s) == "-1/2"
+    twin = Slope(-1, 2)  # text not yet made
+    assert s == twin and hash(s) == hash(twin)
+    assert repr(s) == repr(twin) == "Slope(p=-1, q=2)"
+    assert [f.name for f in dataclasses.fields(s)] == ["p", "q"]
+    assert dataclasses.astuple(s) == (-1, 2)
+    for other in (pickle.loads(pickle.dumps(s)), pickle.loads(pickle.dumps(twin)),
+                  copy.copy(s), copy.deepcopy(s)):
+        assert other == s and hash(other) == hash(s)
+        assert repr(other) == repr(s) and str(other) == "-1/2"
+    moved = dataclasses.replace(s, p=3)
+    assert moved == Slope(3, 2) and str(moved) == "3/2"
+    assert str(dataclasses.replace(s, q=0)) == "1/0"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.p = 3
+    assert str(s) == "-1/2"

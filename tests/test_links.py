@@ -7,6 +7,7 @@ numerical quadrature of -8 * integral of ln(2 sin t) on [0, pi/4].
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from itertools import groupby
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from modlink import links
+from modlink import links, serialize
 from modlink.cutting import slope_to_word
 from modlink.farey import (
     INFINITY,
@@ -458,6 +459,59 @@ def test_family_json_schema_and_values():
     assert family_to_dict(fam) == data
     compact = family_to_json(fam, compact=True)
     assert "\n" not in compact and json.loads(compact) == data
+
+
+def _dumped_compactly(family: LinkFamily) -> str:
+    """The compact line as it was made before the writer: the dict, json-encoded."""
+    return json.dumps(family_to_dict(family), separators=(",", ":"))
+
+
+def test_compact_line_is_the_dumped_dict_on_every_family_to_depth_10():
+    families = list(census(10))
+    assert len(families) == 1023
+    for family in families:
+        assert family_to_json(family, compact=True) == _dumped_compactly(family)
+
+
+@given(st.integers(0, 40), st.integers(0, 40))
+@example(0, 1)
+@example(1, 0)
+@example(3, 2)
+@example(40, 1)
+@example(1, 40)
+def test_compact_line_is_the_dumped_dict_for_targets_to_40(p, q):
+    assume(math.gcd(p, q) == 1)
+    family = build_family(Slope(p, q))
+    assert family_to_json(family, compact=True) == _dumped_compactly(family)
+    if p > q > 0:
+        # the chain of a target past 1/1 holds negative slopes
+        assert family.slopes[0] < ZERO
+
+
+def test_an_orbit_prefix_is_never_another_records(monkeypatch):
+    family = build_family(Slope(3, 2))
+    line = family_to_json(family, compact=True)
+    first = family.orbits[1]
+    changed = [
+        dataclasses.replace(first, word="LLRRLR"),
+        dataclasses.replace(first, slopes=tuple(first.slopes[::-1])),
+        # equal slopes and word, but not the objects the text was made from
+        dataclasses.replace(first, slopes=tuple(list(first.slopes)),
+                            word="".join(list(first.word))),
+        dataclasses.replace(first, representative=Slope(5, 3)),
+    ]
+    for record in changed:
+        other = dataclasses.replace(
+            family, orbits=(family.orbits[0], record) + family.orbits[2:]
+        )
+        assert family_to_json(other, compact=True) == _dumped_compactly(other)
+        assert family_to_json(family, compact=True) == line
+    # a full cache is emptied, and its lines stay the same
+    monkeypatch.setattr(serialize, "_PREFIX_CACHE_SIZE", 3)
+    monkeypatch.setattr(serialize, "_prefixes", {})
+    for family in census(5):
+        assert family_to_json(family, compact=True) == _dumped_compactly(family)
+        assert len(serialize._prefixes) <= 3
 
 
 def test_report_csv_golden():

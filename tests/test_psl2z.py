@@ -158,6 +158,26 @@ def test_block_memo_is_bounded_by_its_cap():
     assert max(sizes) == cap == sizes[-1]
 
 
+def test_one_block_words_share_a_bounded_memo_of_matrices():
+    # 5000 distinct words of 1 to 13 letters, the binary spellings of
+    # 0..4999 in L and R, each asked for twice
+    cap = psl2z._BLOCK_MEMO_CAP
+    words = [format(i, "b").translate({48: "L", 49: "R"}) for i in range(5000)]
+    assert len(set(words)) > cap and max(map(len, words)) <= psl2z._BLOCK
+    sizes = []
+    for letters in words:
+        m = word_to_matrix(letters)
+        assert m == _generator_product(letters)
+        assert word_to_matrix(letters) is m
+        sizes.append(psl2z._block_matrix.cache_info().currsize)
+    assert max(sizes) == cap == sizes[-1]
+
+
+def test_empty_word_is_a_value_error():
+    with pytest.raises(ValueError, match="^empty word$"):
+        word_to_matrix("")
+
+
 def _matrix_power(m: tuple, k: int) -> tuple:
     """m^k of an entry tuple by repeated squaring."""
     result = (1, 0, 0, 1)
