@@ -201,7 +201,10 @@ def _cmd_family(args) -> int:
         return 0
     require_nonnegative(args.slope)
     with _output_stream(args.json) as out:
-        out.write(serialize.family_to_json(links.build_family(args.slope)) + "\n")
+        # the census line, indented: json.loads reads each real back to
+        # the same double, and main has lifted the int-string digit limit
+        line = serialize.family_to_json(links.build_family(args.slope))
+        out.write(json.dumps(json.loads(line), indent=2) + "\n")
     return 0
 
 
@@ -209,7 +212,7 @@ def _cmd_census(args) -> int:
     families = links.census(args.max_x, dedupe_mirror=args.dedupe_mirror)
     with _output_stream(args.jsonl) as out:
         for family in families:
-            out.write(serialize.family_to_json(family, compact=True) + "\n")
+            out.write(serialize.family_to_json(family) + "\n")
     return 0
 
 

@@ -91,21 +91,16 @@ class Slope:
         return self.q == 0
 
     def __lt__(self, other: "Slope") -> bool:
+        if not isinstance(other, Slope):
+            return NotImplemented
         if self.q == 0:
             return False
         if other.q == 0:
             return True
         return self.p * other.q < other.p * self.q
 
-    @cached_property
-    def _text(self) -> str:
-        # Kept in the instance dict, outside the fields, so equality,
-        # hashing and repr ignore it; dataclasses.replace builds anew.
-        return f"{self.p}/{self.q}"
-
     def __str__(self) -> str:
-        """'p/q', made on first use and kept: a census writes each slope often."""
-        return self._text
+        return f"{self.p}/{self.q}"
 
 
 ZERO = Slope(0, 1)

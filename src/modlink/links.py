@@ -103,11 +103,14 @@ _REPRESENTATIVE_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_REPRESENTATIVE_CACHE_SIZE)
-def _representative(rep: Slope) -> tuple[tuple[Slope, ...], str]:
-    """A representative's rotation orbit, sorted, and its word.
+def _representative(p: int, q: int) -> tuple[tuple[Slope, ...], str]:
+    """The rotation orbit of the representative p/q, sorted, and its word.
 
-    Memoised: a census meets each representative in many families.
+    Memoised on the integers, so a lookup hashes and compares ints: a
+    census meets each representative in many families, each time as a
+    new Slope.
     """
+    rep = Slope(p, q)
     return tuple(sorted(v_orbit(rep))), slope_to_word(rep)
 
 
@@ -127,7 +130,7 @@ def build_family(target: Slope) -> LinkFamily:
     path = farey_path(target)
     orbits = []
     for rep in (ONE,) + path.new_vertices:
-        slopes, word = _representative(rep)
+        slopes, word = _representative(rep.p, rep.q)
         matrix = word_to_matrix(word)
         t = matrix.trace()
         orbits.append(

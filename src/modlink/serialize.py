@@ -9,16 +9,14 @@ integer type.  CSV lines are joined directly rather than through the
 csv module: every CSV field is made of digits, L, R, "." and "-", so
 no field ever needs quoting.
 
-A census's compact JSON lines are written directly too, equal byte for
-byte to json.dumps of family_to_dict with separators (",", ":").  The
-work a census repeats in every family is done once: each Slope keeps
-its text, and each orbit's fixed text, from its representative through
-its word, is kept per representative.
+A family's JSON has one writer, family_to_json, which writes the
+census line directly; `family --json` indents that same line.  The work
+a census repeats in every family is done once: each orbit's fixed text,
+from its representative through its word, is kept per representative.
 """
 
 from __future__ import annotations
 
-import json
 from decimal import Context, Decimal, ROUND_HALF_UP
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -61,38 +59,9 @@ CSV_HEADER = [
 ]
 
 
-def family_to_dict(family: LinkFamily) -> dict:
-    """JSON-ready dict for a link family, keys in fixed order.
-
-    The octahedron counts, x in the quotient and 3x and 6x in its two
-    covers, are written from x.
-    """
-    x = family.x
-    return {
-        "target": str(family.target),
-        "x": x,
-        "slopes": [str(s) for s in family.slopes],
-        "orbits": [
-            {
-                "representative": str(record.representative),
-                "slopes": [str(s) for s in record.slopes],
-                "word": record.word,
-                "trace": str(record.trace),
-                "length": real12(record.length),
-                "discriminant": record.discriminant,
-            }
-            for record in family.orbits
-        ],
-        "counts": {"modular": x, "ut_single": 3 * x, "ut_both": 6 * x},
-        "volume_modular": real12(family.volume_modular),
-        "volume_paper_formula": real12(family.volume_alternative),
-        "total_length": real12(family.total_length),
-        "ratio": real12(family.ratio),
-    }
-
-
 # Orbit prefixes kept by _orbit_prefix, as many as the representatives
-# that links keeps with their orbits and words.
+# that links keeps with their orbits and words; keyed on the
+# representative's (p, q), so lookups hash and compare ints.
 _PREFIX_CACHE_SIZE = 4096
 _prefixes: dict = {}
 
@@ -106,32 +75,34 @@ def _orbit_prefix(record: OrbitRecord) -> str:
     The cache holds those objects, so their ids are never reused while
     it does, and it is emptied when full.
     """
-    cached = _prefixes.get(record.representative)
+    rep = record.representative
+    key = (rep.p, rep.q)
+    cached = _prefixes.get(key)
     if cached is not None and cached[0] is record.slopes and cached[1] is record.word:
         return cached[2]
     text = '{"representative":"%s","slopes":["%s"],"word":"%s","trace":"' % (
-        record.representative, '","'.join(map(str, record.slopes)), record.word
+        rep, '","'.join(map(str, record.slopes)), record.word
     )
     if len(_prefixes) >= _PREFIX_CACHE_SIZE:
         _prefixes.clear()
-    _prefixes[record.representative] = (record.slopes, record.word, text)
+    _prefixes[key] = (record.slopes, record.word, text)
     return text
 
 
-def family_to_json(family: LinkFamily, compact: bool = False) -> str:
-    """The family as JSON: json.dumps of family_to_dict, indented by 2.
+def family_to_json(family: LinkFamily) -> str:
+    """The family as one line of JSON, as a census writes it.
 
-    The compact line, one per family of a census, is written directly.
-    It equals json.dumps(family_to_dict(family), separators=(",", ":"))
-    byte for byte, and no string in it needs escaping: slopes, words and
-    traces are made of ASCII digits, "/", "-", L and R.  Every real is
-    real12 of a finite double (x * v_oct, and sums and square roots of
-    finite lengths), so its %r is float.__repr__, which is what json
-    writes for a finite float; json writes an int with int.__repr__, as
-    %d does.
+    Keys come in a fixed order: target, x, slopes, orbits (each with its
+    representative, slopes, word, trace, length and discriminant),
+    counts (x in the quotient, 3x and 6x in its two covers), the two
+    volumes, total_length and ratio.  Traces are decimal strings.  The
+    line is what json.dumps writes with separators (",", ":"), and no
+    string in it needs escaping: slopes, words and traces are made of
+    ASCII digits, "/", "-", L and R.  Every real is real12 of a finite
+    double (x * v_oct, and sums and square roots of finite lengths), so
+    its %r is float.__repr__, which is what json writes for a finite
+    float; json writes an int with int.__repr__, as %d does.
     """
-    if not compact:
-        return json.dumps(family_to_dict(family), indent=2)
     x = family.x
     orbits = ",".join([
         '%s%d","length":%r,"discriminant":%d}' % (

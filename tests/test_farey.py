@@ -10,6 +10,7 @@ from BFS parent pointers.
 import copy
 import dataclasses
 import math
+import operator
 import pickle
 from fractions import Fraction
 
@@ -491,10 +492,10 @@ def test_integer_descent_matches_the_slope_descent(p, q):
     )
 
 
-def test_cached_slope_text_changes_nothing_else():
+def test_slope_has_value_semantics():
     s = Slope(2, -4)
     assert str(s) == "-1/2"
-    twin = Slope(-1, 2)  # text not yet made
+    twin = Slope(-1, 2)
     assert s == twin and hash(s) == hash(twin)
     assert repr(s) == repr(twin) == "Slope(p=-1, q=2)"
     assert [f.name for f in dataclasses.fields(s)] == ["p", "q"]
@@ -509,3 +510,16 @@ def test_cached_slope_text_changes_nothing_else():
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.p = 3
     assert str(s) == "-1/2"
+
+
+@pytest.mark.parametrize("other", [1, 0.5, None, "1/2", (1, 2)])
+def test_ordering_a_slope_against_a_non_slope_is_a_type_error(other):
+    s = Slope(1, 2)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(s, other)
+        with pytest.raises(TypeError):
+            compare(other, s)
+    with pytest.raises(TypeError):
+        sorted([s, other])
+    assert s != other

@@ -6,6 +6,7 @@ transform of the alternating series 1 - 1/9 + 1/25 - ..., and
 numerical quadrature of -8 * integral of ln(2 sin t) on [0, pi/4].
 """
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from modlink import links, serialize
+from modlink.cli import main
 from modlink.cutting import slope_to_word
 from modlink.farey import (
     INFINITY,
@@ -43,7 +45,6 @@ from modlink.links import (
 from modlink.psl2z import geodesic_length, least_rotation
 from modlink.serialize import (
     family_text,
-    family_to_dict,
     family_to_json,
     format_real,
     real12,
@@ -113,7 +114,9 @@ def test_family_three_halves_golden():
     assert _strs(fam.orbits[0].slopes) == ["0/1", "1/1", "1/0"]
     assert _strs(fam.orbits[1].slopes) == ["-1/1", "1/2", "2/1"]
     assert _strs(fam.orbits[2].slopes) == ["-2/1", "1/3", "3/2"]
-    assert family_to_dict(fam)["counts"] == {"modular": 3, "ut_single": 9, "ut_both": 18}
+    assert json.loads(family_to_json(fam))["counts"] == {
+        "modular": 3, "ut_single": 9, "ut_both": 18,
+    }
     assert fam.volume_modular == pytest.approx(3 * V_OCT_REFERENCE, abs=1e-12)
     assert fam.volume_alternative == pytest.approx(fam.volume_modular / 2)
     assert fam.total_length == pytest.approx(sum(r.length for r in fam.orbits))
@@ -132,7 +135,9 @@ def test_family_one_is_the_single_octahedron_anchor():
     assert fam.orbits[0].trace == 3
     assert fam.orbits[0].discriminant == 5
     assert fam.volume_modular == pytest.approx(V_OCT_REFERENCE, abs=1e-12)
-    assert family_to_dict(fam)["counts"] == {"modular": 1, "ut_single": 3, "ut_both": 6}
+    assert json.loads(family_to_json(fam))["counts"] == {
+        "modular": 1, "ut_single": 3, "ut_both": 6,
+    }
 
 
 def test_family_accepts_all_base_targets():
@@ -166,7 +171,7 @@ def _family_invariants(fam: LinkFamily):
     assert orbit_union == slopes
     chain = fam.slopes
     assert all(is_farey_neighbour(a, b) for a, b in zip(chain, chain[1:] + chain[:1]))
-    counts = family_to_dict(fam)["counts"]
+    counts = json.loads(family_to_json(fam))["counts"]
     assert counts == {"modular": x, "ut_single": 3 * x, "ut_both": 6 * x}
     assert fam.volume_modular == pytest.approx(x * V_OCT_REFERENCE, rel=1e-12)
     assert fam.total_length == pytest.approx(sum(r.length for r in fam.orbits))
@@ -245,9 +250,9 @@ def test_family_rejects_orbits_that_share_a_slope(monkeypatch):
     # 2/1: the chain's neighbour test, not a count, must catch it
     representative = links._representative
 
-    def overlapping(rep):
-        slopes, word = representative(rep)
-        if rep == Slope(3, 2):
+    def overlapping(p, q):
+        slopes, word = representative(p, q)
+        if (p, q) == (3, 2):
             slopes = (Slope(-2, 1), Slope(1, 3), Slope(1, 2))
         return slopes, word
 
@@ -367,6 +372,31 @@ def test_census_lists_each_link_twice_and_dedupe_mirror_once():
     assert len(full) == 511
 
 
+def test_the_targets_of_a_class_print_equal_totals_ratios_and_orbits():
+    # each class {s, V s, 1/s, V(1/s)} is one link up to mirror image;
+    # V^2 stands in for V above 1, and only 1/1's partner, 1/0, is no target
+    def partner(s):
+        return v_rotate(s) if s.p <= s.q else v_rotate(v_rotate(s))
+
+    def printed(record):
+        return (
+            record["total_length"],
+            record["ratio"],
+            sorted(orbit["trace"] for orbit in record["orbits"]),
+            sorted(orbit["length"] for orbit in record["orbits"]),
+        )
+
+    records = {f.target: json.loads(family_to_json(f)) for f in census(9)}
+    assert len(records) == 511
+    for s, record in records.items():
+        inverse = Slope(s.q, s.p)
+        for other in (partner(s), inverse, partner(inverse)):
+            if other == INFINITY:
+                assert s == ONE
+                continue
+            assert printed(records[other]) == printed(record), (s, other)
+
+
 @pytest.mark.parametrize("dedupe_mirror", [False, True])
 def test_census_targets_match_brute_force_to_depth_8(dedupe_mirror):
     # every slope of Farey depth <= 8 has p, q <= F(9) = 34
@@ -456,21 +486,46 @@ def test_family_json_schema_and_values():
     assert data["volume_modular"] == 10.9915871301
     assert data["volume_paper_formula"] == 5.49579356506
     assert data["ratio"] == real12(fam.ratio)
-    assert family_to_dict(fam) == data
-    compact = family_to_json(fam, compact=True)
-    assert "\n" not in compact and json.loads(compact) == data
+    assert _family_dict(fam) == data
+    assert "\n" not in family_to_json(fam)
+
+
+def _family_dict(family: LinkFamily) -> dict:
+    """The family's JSON record as a dict, keys in order: the oracle of the line."""
+    x = family.x
+    return {
+        "target": str(family.target),
+        "x": x,
+        "slopes": [str(s) for s in family.slopes],
+        "orbits": [
+            {
+                "representative": str(record.representative),
+                "slopes": [str(s) for s in record.slopes],
+                "word": record.word,
+                "trace": str(record.trace),
+                "length": real12(record.length),
+                "discriminant": record.discriminant,
+            }
+            for record in family.orbits
+        ],
+        "counts": {"modular": x, "ut_single": 3 * x, "ut_both": 6 * x},
+        "volume_modular": real12(family.volume_modular),
+        "volume_paper_formula": real12(family.volume_alternative),
+        "total_length": real12(family.total_length),
+        "ratio": real12(family.ratio),
+    }
 
 
 def _dumped_compactly(family: LinkFamily) -> str:
-    """The compact line as it was made before the writer: the dict, json-encoded."""
-    return json.dumps(family_to_dict(family), separators=(",", ":"))
+    """The census line made by json from the oracle dict."""
+    return json.dumps(_family_dict(family), separators=(",", ":"))
 
 
 def test_compact_line_is_the_dumped_dict_on_every_family_to_depth_10():
     families = list(census(10))
     assert len(families) == 1023
     for family in families:
-        assert family_to_json(family, compact=True) == _dumped_compactly(family)
+        assert family_to_json(family) == _dumped_compactly(family)
 
 
 @given(st.integers(0, 40), st.integers(0, 40))
@@ -482,7 +537,12 @@ def test_compact_line_is_the_dumped_dict_on_every_family_to_depth_10():
 def test_compact_line_is_the_dumped_dict_for_targets_to_40(p, q):
     assume(math.gcd(p, q) == 1)
     family = build_family(Slope(p, q))
-    assert family_to_json(family, compact=True) == _dumped_compactly(family)
+    assert family_to_json(family) == _dumped_compactly(family)
+    # family --json prints the same record indented by 2
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["family", f"{p}/{q}", "--json", "-"]) == 0
+    assert out.getvalue() == json.dumps(_family_dict(family), indent=2) + "\n"
     if p > q > 0:
         # the chain of a target past 1/1 holds negative slopes
         assert family.slopes[0] < ZERO
@@ -490,7 +550,7 @@ def test_compact_line_is_the_dumped_dict_for_targets_to_40(p, q):
 
 def test_an_orbit_prefix_is_never_another_records(monkeypatch):
     family = build_family(Slope(3, 2))
-    line = family_to_json(family, compact=True)
+    line = family_to_json(family)
     first = family.orbits[1]
     changed = [
         dataclasses.replace(first, word="LLRRLR"),
@@ -504,13 +564,13 @@ def test_an_orbit_prefix_is_never_another_records(monkeypatch):
         other = dataclasses.replace(
             family, orbits=(family.orbits[0], record) + family.orbits[2:]
         )
-        assert family_to_json(other, compact=True) == _dumped_compactly(other)
-        assert family_to_json(family, compact=True) == line
+        assert family_to_json(other) == _dumped_compactly(other)
+        assert family_to_json(family) == line
     # a full cache is emptied, and its lines stay the same
     monkeypatch.setattr(serialize, "_PREFIX_CACHE_SIZE", 3)
     monkeypatch.setattr(serialize, "_prefixes", {})
     for family in census(5):
-        assert family_to_json(family, compact=True) == _dumped_compactly(family)
+        assert family_to_json(family) == _dumped_compactly(family)
         assert len(serialize._prefixes) <= 3
 
 
