@@ -5,14 +5,27 @@ disagrees (a line reads ``mismatch``) or when a fault breaks an
 invariant of the package (a traceback, not an ``error:`` line), 2
 malformed input, an output that cannot be opened or written, or a
 command that runs out of memory (``out-of-memory``), 3 domain error
-(negative slope where unsupported, parabolic word, 0/0), 130 (128 +
-SIGINT) when Ctrl-C stops the command, 141 (128 + SIGPIPE) when the
-reader of the output closes it early, as in ``modlink census --max-x 9
-| head``; the last two print nothing.  An error that a command raises
-prints a single line ``error: <slug>: <detail>`` to stderr; a malformed
-command line prints argparse's single line ``error: <message>``, which
-names the argument.  Output is deterministic: reals are fixed at 12
-significant digits and orderings never depend on hashing.
+(negative slope where unsupported, parabolic word, 0/0) or an input
+past a command's size limit (``too-large``), 130 (128 + SIGINT) when
+Ctrl-C stops the command, 141 (128 + SIGPIPE) when the reader of the
+output closes it early, as in ``modlink census --max-x 9 | head``; the
+last two print nothing.  An error that a command raises prints a single
+line ``error: <slug>: <detail>`` to stderr; a malformed command line
+prints argparse's single line ``error: <message>``, which names the
+argument.  Output is deterministic: reals are fixed at 12 significant
+digits and orderings never depend on hashing.
+
+The size limits are checked before any work and before an output file
+is opened: ``word``, ``cutting`` and ``family`` refuse p/q when its LR
+word, of 2 max(p, q) letters, cannot be a str (more than sys.maxsize
+characters; the AB word's p + q letters are no more); ``family`` takes
+a Farey path of at most 1000 triangles, ``svg-path`` one of at most
+10000, and ``svg-line`` at most 100000 lattice crossings, p + q.
+
+A well-formed command line is read straight from the command table
+``_COMMANDS``; argparse, whose parser is built from the same table on
+first need, reads only a line that asks for help or is malformed, so
+help screens and error lines are argparse's own.
 """
 
 from __future__ import annotations
@@ -54,7 +67,8 @@ from .psl2z import (
 
 
 class DomainInputError(Exception):
-    """Well-formed input naming an undefined object (e.g. 0/0)."""
+    """Well-formed input naming an undefined object (e.g. 0/0), or one
+    past a command's size limit."""
 
 
 class UnwritableOutputError(Exception):
@@ -70,6 +84,14 @@ _INTEGER_PATTERN = re.compile(r"[+-]?[0-9]+")
 # A word argument is the ASCII letters L and R only, matched whole:
 # fullmatch lets no trailing newline through, as "$" would.
 _WORD_PATTERN = re.compile("[LR]+")
+# The largest input each command takes; above it, it refuses the slope
+# with a too-large error before any work.  family and svg-path bound x,
+# the triangles of the Farey path, and svg-line p + q, the lattice lines
+# crossed.  Each sits far above the sizes the tests use; family's bounds
+# the path, not the factoring of its traces, which has no budget.
+_MAX_FAMILY_X = 1000
+_MAX_SVG_PATH_X = 10_000
+_MAX_SVG_LINE_CROSSINGS = 100_000
 
 
 def _error(detail: str) -> None:
@@ -150,11 +172,44 @@ def _route_nonnegative(s: Slope) -> Slope:
     return rep
 
 
+def _path_length(s: Slope) -> "int | None":
+    """x of the Farey path to s, or None for a negative slope, which has none.
+
+    x is the digit sum of the continued fraction, 1 on the base triangle,
+    so it is known before any path is walked.
+    """
+    if s.p < 0:
+        return None
+    return 1 if s.is_infinity else max(1, sum(continued_fraction(s)))
+
+
+def _require_path_within(s: Slope, limit: int, command: str) -> None:
+    x = _path_length(s)
+    if x is not None and x > limit:
+        raise DomainInputError(
+            f"too-large: the Farey path of {s} has {x} triangles;"
+            f" {command} takes at most {limit}"
+        )
+
+
+def _require_word_fits(s: Slope) -> None:
+    """Refuse s before any spelling when its words cannot be strings.
+
+    The LR word of p/q has 2 max(p, q) letters and the AB word p + q, no
+    more; a str holds at most sys.maxsize characters.
+    """
+    letters = 2 * max(s.p, s.q)
+    if letters > sys.maxsize:
+        raise DomainInputError(
+            f"too-large: the LR word of {s} would have {letters} letters;"
+            f" a string holds at most {sys.maxsize}"
+        )
+
+
 def _cmd_slope_info(args) -> int:
     s: Slope = args.slope
     cf = None if (s.is_infinity or s.p < 0) else list(continued_fraction(s))
-    # the Farey path's x is the digit sum, 1 on the base triangle
-    x = None if s.p < 0 else max(1, sum(cf or ()))
+    x = _path_length(s)
     orbit = sorted(v_orbit(s))
     if args.json:
         payload = {
@@ -174,6 +229,7 @@ def _cmd_slope_info(args) -> int:
 
 def _cmd_cutting(args) -> int:
     s = _route_nonnegative(args.slope)
+    _require_word_fits(s)
     ab = ab_sequence(s)
     lr = slope_to_word(s)
     print(f"slope: {s}")
@@ -191,15 +247,18 @@ def _cmd_cutting(args) -> int:
 
 def _cmd_word(args) -> int:
     s = _route_nonnegative(args.slope)
+    _require_word_fits(s)
     print(slope_to_word(s))
     return 0
 
 
 def _cmd_family(args) -> int:
+    require_nonnegative(args.slope)
+    _require_path_within(args.slope, _MAX_FAMILY_X, "family")
+    _require_word_fits(args.slope)
     if args.json is None:
         sys.stdout.write(serialize.family_text(links.build_family(args.slope)))
         return 0
-    require_nonnegative(args.slope)
     with _output_stream(args.json) as out:
         # the census line, indented: json.loads reads each real back to
         # the same double, and main has lifted the int-string digit limit
@@ -236,6 +295,7 @@ def _cmd_length(args) -> int:
 
 def _cmd_svg_path(args) -> int:
     require_nonnegative(args.slope)
+    _require_path_within(args.slope, _MAX_SVG_PATH_X, "svg-path")
     with _output_stream(args.out) as out:
         out.write(figures.farey_disk_svg(farey_path(args.slope)))
     return 0
@@ -243,9 +303,64 @@ def _cmd_svg_path(args) -> int:
 
 def _cmd_svg_line(args) -> int:
     require_positive(args.slope)
+    crossings = args.slope.p + args.slope.q
+    if crossings > _MAX_SVG_LINE_CROSSINGS:
+        raise DomainInputError(
+            f"too-large: the lattice line of {args.slope} crosses {crossings}"
+            f" lines; svg-line takes at most {_MAX_SVG_LINE_CROSSINGS}"
+        )
     with _output_stream(args.out) as out:
         out.write(figures.lattice_line_svg(args.slope))
     return 0
+
+
+# The command-line grammar, in one place: per command, its handler, its
+# help and its arguments, each an add_argument spelling with keywords.
+# _build_parser makes argparse's parser from it and _parse reads
+# well-formed lines by it; _parse reads only the keywords type, action
+# (store_true), default and required, and help and metavar shape only
+# argparse's text.
+_COMMANDS = {
+    "slope-info": (_cmd_slope_info, "normalization, continued fraction, orbit", [
+        ("slope", {"type": _slope_arg}),
+        ("--json", {"action": "store_true"}),
+    ]),
+    "cutting": (_cmd_cutting, "AB and LR cutting words of a slope", [
+        ("slope", {"type": _slope_arg}),
+        ("--check", {"action": "store_true",
+                     "help": "also run both geometric oracles"}),
+    ]),
+    "word": (_cmd_word, "canonical LR word of a slope", [
+        ("slope", {"type": _slope_arg}),
+    ]),
+    "family": (_cmd_family, "full link-family report for a slope", [
+        ("slope", {"type": _slope_arg}),
+        ("--json", {"metavar": "FILE", "help": "write JSON ('-' for stdout)"}),
+    ]),
+    "census": (_cmd_census, "enumerate families up to a path length", [
+        ("--max-x", {"type": _positive_int, "required": True}),
+        ("--jsonl", {"metavar": "FILE", "default": "-",
+                     "help": "output file ('-' for stdout)"}),
+        ("--dedupe-mirror", {"action": "store_true",
+                             "help": "emit one family per link: the targets p/q with p <= q"}),
+    ]),
+    "table": (_cmd_table, "volume versus length table", [
+        ("--n", {"type": _positive_int, "required": True}),
+        ("--csv", {"metavar": "FILE", "default": "-",
+                   "help": "output file ('-' for stdout)"}),
+    ]),
+    "length": (_cmd_length, "trace, length and field of an LR word", [
+        ("word", {"type": _word_arg}),
+    ]),
+    "svg-path": (_cmd_svg_path, "Farey tessellation figure with path", [
+        ("slope", {"type": _slope_arg}),
+        ("--out", {"required": True, "metavar": "FILE"}),
+    ]),
+    "svg-line": (_cmd_svg_line, "lattice line figure with crossings", [
+        ("slope", {"type": _slope_arg}),
+        ("--out", {"required": True, "metavar": "FILE"}),
+    ]),
+}
 
 
 @functools.cache
@@ -256,56 +371,92 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Farey paths, cutting sequences and modular-link volumes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("slope-info", help="normalization, continued fraction, orbit")
-    p.add_argument("slope", type=_slope_arg)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_slope_info)
-
-    p = sub.add_parser("cutting", help="AB and LR cutting words of a slope")
-    p.add_argument("slope", type=_slope_arg)
-    p.add_argument("--check", action="store_true",
-                   help="also run both geometric oracles")
-    p.set_defaults(func=_cmd_cutting)
-
-    p = sub.add_parser("word", help="canonical LR word of a slope")
-    p.add_argument("slope", type=_slope_arg)
-    p.set_defaults(func=_cmd_word)
-
-    p = sub.add_parser("family", help="full link-family report for a slope")
-    p.add_argument("slope", type=_slope_arg)
-    p.add_argument("--json", metavar="FILE", help="write JSON ('-' for stdout)")
-    p.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("census", help="enumerate families up to a path length")
-    p.add_argument("--max-x", type=_positive_int, required=True)
-    p.add_argument("--jsonl", metavar="FILE", default="-",
-                   help="output file ('-' for stdout)")
-    p.add_argument("--dedupe-mirror", action="store_true",
-                   help="emit one family per link: the targets p/q with p <= q")
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser("table", help="volume versus length table")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--csv", metavar="FILE", default="-",
-                   help="output file ('-' for stdout)")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("length", help="trace, length and field of an LR word")
-    p.add_argument("word", type=_word_arg)
-    p.set_defaults(func=_cmd_length)
-
-    p = sub.add_parser("svg-path", help="Farey tessellation figure with path")
-    p.add_argument("slope", type=_slope_arg)
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_svg_path)
-
-    p = sub.add_parser("svg-line", help="lattice line figure with crossings")
-    p.add_argument("slope", type=_slope_arg)
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_svg_line)
-
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for spelling, keywords in arguments:
+            p.add_argument(spelling, **keywords)
+        p.set_defaults(func=handler)
     return parser
+
+
+def _grammar(handler, arguments):
+    """One command's table entry as _parse reads it.
+
+    Returns the positionals as (dest, type) pairs, the options as a map
+    from spelling to (dest, store_true, type), the spellings of the
+    required options, and the namespace's defaults.
+    """
+    positionals, options, required = [], {}, set()
+    defaults = {"func": handler}
+    for spelling, keywords in arguments:
+        kind = keywords.get("type")
+        if not spelling.startswith("-"):
+            positionals.append((spelling, kind))
+            continue
+        dest = spelling.lstrip("-").replace("-", "_")
+        flag = keywords.get("action") == "store_true"
+        options[spelling] = (dest, flag, kind)
+        defaults[dest] = keywords.get("default", False if flag else None)
+        if keywords.get("required"):
+            required.add(spelling)
+    return positionals, options, required, defaults
+
+
+_GRAMMAR = {name: _grammar(handler, arguments)
+            for name, (handler, _, arguments) in _COMMANDS.items()}
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse reads token as a value rather than as an option."""
+    return (not token.startswith("-") or token == "-"
+            or _NEGATIVE_NUMBER_START.match(token) is not None)
+
+
+def _parse(argv: "list[str]") -> "argparse.Namespace | None":
+    """The namespace argparse returns for a well-formed argv, else None.
+
+    argv is well-formed when it names a command, each later token is a
+    value or an exact option string of that command, a store_true option
+    stands alone and any other option takes one value, no option is
+    repeated, the values left over fill the positionals exactly, and
+    every required option is present.  The type functions run once the
+    whole line has matched, in the order of argv; a type error returns
+    None, so that argparse prints its own line, and a DomainInputError
+    propagates as it does from argparse.  Everything else, -h and --help
+    among it, returns None.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    positionals, options, required, defaults = _GRAMMAR[argv[0]]
+    values = dict(defaults, command=argv[0])
+    seen, pending, filled = set(), [], 0
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if _is_value(token):
+            if filled == len(positionals):
+                return None
+            dest, kind = positionals[filled]
+            filled += 1
+        else:
+            if token not in options or token in seen:
+                return None
+            seen.add(token)
+            dest, flag, kind = options[token]
+            if flag:
+                values[dest] = True
+                continue
+            token = next(tokens, None)
+            if token is None or not _is_value(token):
+                return None
+        pending.append((dest, kind, token))
+    if filled != len(positionals) or not required <= seen:
+        return None
+    try:
+        for dest, kind, text in pending:
+            values[dest] = text if kind is None else kind(text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
 
 
 _DOMAIN_SLUGS = [
@@ -322,19 +473,21 @@ def main(argv: "list[str] | None" = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        parser = _build_parser()
+        if argv is None:
+            argv = sys.argv[1:]
         try:
-            args = parser.parse_args(argv)
-        except DomainInputError as exc:
-            _error(str(exc))
-            return 3
-        except SystemExit as exc:
-            # argparse has already printed its reason (or the help text)
-            return int(exc.code or 0)
-        try:
+            args = _parse(argv)
+            if args is None:  # help, or a line whose fault argparse names
+                args = _build_parser().parse_args(argv)
             status = args.func(args)
             sys.stdout.flush()  # a failed write surfaces here, not at exit
             return status
+        except SystemExit as exc:
+            # argparse has already printed its reason (or the help text)
+            return int(exc.code or 0)
+        except DomainInputError as exc:
+            _error(str(exc))
+            return 3
         except tuple(cls for cls, _ in _DOMAIN_SLUGS) as exc:
             slug = next(slug for cls, slug in _DOMAIN_SLUGS if isinstance(exc, cls))
             _error(f"{slug}: {exc}")

@@ -7,6 +7,8 @@ needs only the standard library, so that tools/check_pinned.py can check
 both on any supported Python, with or without pytest.
 """
 
+import sys
+
 PINNED = [
     (("census", "--max-x", "7"), "8a10857b5d456e4c2a9570724c9b4c2c", "census-7"),
     (("census", "--max-x", "7", "--dedupe-mirror"),
@@ -53,11 +55,15 @@ PINNED = [
      "length-lr-1000"),
 ]
 
+# 1/HUGE has a word of 2 * 10^20 letters and a path of 10^20 triangles
+HUGE = str(10**20)
+
 # (argv, exit code, stderr).  The first ten are argparse's errors: the
 # first two shaped by the private _negative_number_matcher the CLI sets,
 # the last five of them words that fail the CLI's letter check, a
 # fullmatch of [LR]+ that neither a trailing newline nor a fullwidth L
-# passes.  The last two are domain errors.
+# passes.  The rest are domain errors, the last five refusals of a slope
+# too large to spell or to walk.
 PINNED_ERRORS = [
     (("word", "-.5"), 2,
      "error: argument slope: malformed-slope: '-.5' is not 'p/q'\n"),
@@ -78,4 +84,19 @@ PINNED_ERRORS = [
     (("length", "LL"), 3,
      "error: parabolic: trace 2 is parabolic: no closed geodesic\n"),
     (("family", "0/0"), 3, "error: undefined-slope: 0/0\n"),
+    (("word", "1/" + HUGE), 3,
+     f"error: too-large: the LR word of 1/{HUGE} would have {2 * 10**20}"
+     f" letters; a string holds at most {sys.maxsize}\n"),
+    (("cutting", "1/" + HUGE), 3,
+     f"error: too-large: the LR word of 1/{HUGE} would have {2 * 10**20}"
+     f" letters; a string holds at most {sys.maxsize}\n"),
+    (("family", "1/" + HUGE), 3,
+     f"error: too-large: the Farey path of 1/{HUGE} has {HUGE} triangles;"
+     " family takes at most 1000\n"),
+    (("svg-path", "1/" + HUGE, "--out", "-"), 3,
+     f"error: too-large: the Farey path of 1/{HUGE} has {HUGE} triangles;"
+     " svg-path takes at most 10000\n"),
+    (("svg-line", "1/" + HUGE, "--out", "-"), 3,
+     f"error: too-large: the lattice line of 1/{HUGE} crosses {10**20 + 1}"
+     " lines; svg-line takes at most 100000\n"),
 ]

@@ -12,8 +12,10 @@ is a fault: main raises it rather than exit with a domain error.
 
 import contextlib
 import errno
+import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -186,6 +188,14 @@ def test_one_parser_serves_a_sequence_of_commands(capsys):
     assert in_sequence == alone
     assert [code for code, _, _ in alone] == [2, 3, 0, 0]
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_well_formed_lines_never_build_argparse(capsys):
+    cli._build_parser.cache_clear()
+    for argv in [("word", "3/2"), ("census", "--max-x", "3"), ("table", "--n", "2"),
+                 ("family", "3/2", "--json", "-")]:
+        assert run(capsys, *argv)[0] == 0
+    assert cli._build_parser.cache_info().misses == 0
 
 
 def test_length(capsys):
@@ -631,6 +641,9 @@ def test_domain_error_leaves_the_output_file_alone(tmp_path, capsys, argv, slug,
         (("family", "-2/1"), "negative-slope"),
         (("svg-line", "1/0", "--out", "-"), "unsupported-slope"),
         (("cutting", "1/0"), "unsupported-slope"),
+        # F_93/F_92: a path of 92 triangles, within family's limit, to a
+        # word of 2 F_93 > sys.maxsize letters
+        (("family", "12200160415121876738/7540113804746346429"), "too-large"),
     ],
 )
 def test_domain_errors_exit_3(capsys, argv, slug):
@@ -640,6 +653,42 @@ def test_domain_errors_exit_3(capsys, argv, slug):
     assert err.startswith("error: ")
     assert slug in err
     assert len(err.rstrip("\n").splitlines()) == 1
+
+
+class _Reached(Exception):
+    """The command got past its size check to the work."""
+
+
+def _reach(*args):
+    raise _Reached
+
+
+@pytest.mark.parametrize(
+    "command, module, compute, largest",
+    [
+        ("word", cli, "slope_to_word", sys.maxsize // 2),
+        ("cutting", cli, "ab_sequence", sys.maxsize // 2),
+        ("family", links, "build_family", cli._MAX_FAMILY_X),
+        ("svg-path", figures, "farey_disk_svg", cli._MAX_SVG_PATH_X),
+        ("svg-line", figures, "lattice_line_svg", cli._MAX_SVG_LINE_CROSSINGS - 1),
+    ],
+    ids=["word", "cutting", "family", "svg-path", "svg-line"],
+)
+def test_a_slope_past_the_limit_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           command, module, compute,
+                                                           largest):
+    # 1/largest is the largest slope of the fan 1/n that the command takes:
+    # a word of 2n letters, a path of n triangles, a line crossing n + 1
+    monkeypatch.setattr(module, compute, _reach)
+    target = tmp_path / "out"
+    output = ["--out", str(target)] if command.startswith("svg") else []
+    with pytest.raises(_Reached):
+        main([command, f"1/{largest}", *output])
+    target.write_bytes(b"kept\n")
+    code, out, err = run(capsys, command, f"1/{largest + 1}", *output)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: too-large: ") and err.count("\n") == 1
+    assert target.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize(
@@ -695,7 +744,7 @@ _WORD = st.one_of(st.text("LR", max_size=16), st.sampled_from(_ODD_TEXT + ["LRX"
 
 # The one line of an exit 3: a slug that names the domain, then a detail.
 _DOMAIN_ERROR_LINE = (
-    r"error: (undefined-slope|parabolic|negative-slope|unsupported-slope): .+"
+    r"error: (undefined-slope|parabolic|negative-slope|unsupported-slope|too-large): .+"
 )
 
 
@@ -759,3 +808,157 @@ def test_every_invocation_keeps_the_exit_and_stderr_contract(argv):
     assert all(line.startswith("error: ") for line in lines)
     if code == 3:
         assert re.fullmatch(_DOMAIN_ERROR_LINE, lines[0]), lines[0]
+
+
+# ------------------------------------------------ the direct parse of argv
+
+@functools.cache
+def _reference_parser():
+    """The parser as it was spelled before the command table: the oracle."""
+    parser = cli._Parser(
+        prog="modlink",
+        description="Farey paths, cutting sequences and modular-link volumes.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("slope-info", help="normalization, continued fraction, orbit")
+    p.add_argument("slope", type=cli._slope_arg)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli._cmd_slope_info)
+
+    p = sub.add_parser("cutting", help="AB and LR cutting words of a slope")
+    p.add_argument("slope", type=cli._slope_arg)
+    p.add_argument("--check", action="store_true",
+                   help="also run both geometric oracles")
+    p.set_defaults(func=cli._cmd_cutting)
+
+    p = sub.add_parser("word", help="canonical LR word of a slope")
+    p.add_argument("slope", type=cli._slope_arg)
+    p.set_defaults(func=cli._cmd_word)
+
+    p = sub.add_parser("family", help="full link-family report for a slope")
+    p.add_argument("slope", type=cli._slope_arg)
+    p.add_argument("--json", metavar="FILE", help="write JSON ('-' for stdout)")
+    p.set_defaults(func=cli._cmd_family)
+
+    p = sub.add_parser("census", help="enumerate families up to a path length")
+    p.add_argument("--max-x", type=cli._positive_int, required=True)
+    p.add_argument("--jsonl", metavar="FILE", default="-",
+                   help="output file ('-' for stdout)")
+    p.add_argument("--dedupe-mirror", action="store_true",
+                   help="emit one family per link: the targets p/q with p <= q")
+    p.set_defaults(func=cli._cmd_census)
+
+    p = sub.add_parser("table", help="volume versus length table")
+    p.add_argument("--n", type=cli._positive_int, required=True)
+    p.add_argument("--csv", metavar="FILE", default="-",
+                   help="output file ('-' for stdout)")
+    p.set_defaults(func=cli._cmd_table)
+
+    p = sub.add_parser("length", help="trace, length and field of an LR word")
+    p.add_argument("word", type=cli._word_arg)
+    p.set_defaults(func=cli._cmd_length)
+
+    p = sub.add_parser("svg-path", help="Farey tessellation figure with path")
+    p.add_argument("slope", type=cli._slope_arg)
+    p.add_argument("--out", required=True, metavar="FILE")
+    p.set_defaults(func=cli._cmd_svg_path)
+
+    p = sub.add_parser("svg-line", help="lattice line figure with crossings")
+    p.add_argument("slope", type=cli._slope_arg)
+    p.add_argument("--out", required=True, metavar="FILE")
+    p.set_defaults(func=cli._cmd_svg_line)
+
+    return parser
+
+
+def _reference_parse(argv):
+    """vars() of the reference parser's namespace, its domain error, or
+    None when it prints help or an error line."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_reference_parser().parse_args(argv))
+        except cli.DomainInputError as exc:
+            return exc
+        except SystemExit:
+            return None
+
+
+# Tokens that only argparse may read: help, an abbreviation, an attached
+# value, the end of options, and values that start with '-'.
+_JUNK = st.sampled_from([["-h"], ["--help"], ["--max"], ["--max-x=3"], ["--"], ["-"],
+                         ["-", "5"], ["-5"], ["-2/1"], ["-.5"], ["-x"]])
+
+
+@st.composite
+def _lines(draw):
+    """An argv of _argvs with up to three junk or repeated tokens put in,
+    each in front of a token or in its place."""
+    argv = draw(_argvs())
+    for _ in range(draw(st.integers(0, 3))):
+        tokens = draw(st.one_of(_JUNK, st.sampled_from(argv).map(lambda t: [t])))
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = tokens
+    return argv
+
+
+def _agrees_with_argparse(argv) -> bool:
+    """Check _parse against the reference on argv; return whether it read it."""
+    try:
+        direct = cli._parse(argv)
+    except cli.DomainInputError as exc:
+        direct = exc
+    if direct is None:
+        return False  # argparse reads the line
+    reference = _reference_parse(argv)
+    if isinstance(direct, cli.DomainInputError):
+        assert isinstance(reference, cli.DomainInputError), argv
+        assert str(direct) == str(reference), argv
+    else:
+        assert vars(direct) == reference, argv
+    return True
+
+
+@settings(deadline=None, max_examples=1000)
+@given(_lines())
+@example(["census", "--max-x", "3", "--max-x", "4"])
+@example(["census", "--dedupe-mirror", "--max-x", "3", "--dedupe-mirror"])
+@example(["word", "-", "5"])
+@example(["family", "3/2", "--json", "-5"])
+@example(["svg-path", "--out", "-", "0/0"])
+def test_the_direct_parse_agrees_with_argparse(argv):
+    _agrees_with_argparse(argv)
+
+
+def test_the_direct_parse_agrees_with_argparse_on_every_short_line():
+    # every line of up to five tokens over the command's options, another
+    # command's option, values of each kind and junk
+    read = 0
+    for command, (required, optional) in _COMMANDS.items():
+        options = {t for part in required + optional for t in part
+                   if isinstance(t, str) and t.startswith("--")}
+        vocabulary = sorted(options | {"--n" if "--json" in options else "--json"})
+        vocabulary += ["3/2", "0/0", "5", "LR", "-", "-2/1", "-h", "--", "-x"]
+        for size in range(6):
+            for tokens in itertools.product(vocabulary, repeat=size):
+                read += _agrees_with_argparse([command, *tokens])
+    assert read > 150, read  # the well-formed lines among them
+
+
+def test_the_command_table_uses_only_what_the_direct_parse_reads():
+    arguments = [kw for _, _, spec in cli._COMMANDS.values() for _, kw in spec]
+    assert set().union(*arguments) <= {"type", "action", "default", "required",
+                                       "help", "metavar"}
+    assert {kw["action"] for kw in arguments if "action" in kw} == {"store_true"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"]] + [[command, "-h"] for command in sorted(_COMMANDS)],
+    ids=["modlink"] + sorted(_COMMANDS),
+)
+def test_help_screens_are_the_reference_parsers(capsys, argv):
+    with pytest.raises(SystemExit):
+        _reference_parser().parse_args(argv)
+    screen = capsys.readouterr().out
+    assert screen.startswith("usage: modlink")
+    assert run(capsys, *argv) == (0, screen, "")
